@@ -14,44 +14,13 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    run_graph_program, ActivityPolicy, EdgeDirection, Graph, GraphBuildOptions, GraphProgram,
-    GraphView, RunOptions, Session, Topology, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, Topology, VertexId,
+    VertexState,
 };
 use graphmat_io::edgelist::EdgeList;
 
 /// Distance value meaning "not reached yet".
 pub const UNREACHED: u32 = u32::MAX;
-
-/// BFS parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct BfsConfig {
-    /// The root vertex the search starts from.
-    pub root: VertexId,
-    /// Symmetrize the input graph first (the paper always does for BFS).
-    pub symmetrize: bool,
-    /// Graph construction options.
-    pub build: GraphBuildOptions,
-}
-
-impl Default for BfsConfig {
-    fn default() -> Self {
-        BfsConfig {
-            root: 0,
-            symmetrize: true,
-            build: GraphBuildOptions::default().with_in_edges(false),
-        }
-    }
-}
-
-impl BfsConfig {
-    /// BFS from the given root with default settings.
-    pub fn from_root(root: VertexId) -> Self {
-        BfsConfig {
-            root,
-            ..Default::default()
-        }
-    }
-}
 
 /// The BFS vertex program. The vertex property is the current distance from
 /// the root (`UNREACHED` if not discovered yet). Generic over the (ignored)
@@ -99,74 +68,51 @@ impl<E: Clone + Send + Sync> GraphProgram for BfsProgram<E> {
     }
 }
 
-/// Run BFS and return the per-vertex hop distance from the root
-/// ([`UNREACHED`] for vertices in other components).
-///
-/// Accepts any edge value type — weights are ignored. Pass an
-/// `EdgeList<()>` (from [`EdgeList::from_pairs`] or
-/// [`EdgeList::topology`]) for the unweighted fast path.
-pub fn bfs<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    config: &BfsConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<u32> {
-    assert!(
-        config.root < edges.num_vertices(),
-        "BFS root {} out of range ({} vertices)",
-        config.root,
-        edges.num_vertices()
-    );
-    let symmetric;
-    let edges = if config.symmetrize {
-        symmetric = edges.symmetrized();
-        &symmetric
-    } else {
-        edges
-    };
-
-    let mut graph: Graph<u32, E> = Graph::from_edge_list(edges, config.build);
-    graph.set_all_properties(UNREACHED);
-    graph.set_property(config.root, 0);
-    graph.set_active(config.root);
-
-    let result = run_graph_program(&BfsProgram::<E>::default(), &mut graph, options);
-    AlgorithmOutput {
-        values: graph.properties().to_vec(),
-        stats: result.stats,
-        converged: result.converged,
-    }
-}
-
 /// Run BFS over a pre-built shared topology through a [`Session`] and
-/// return the per-vertex hop distance from the root.
+/// return the per-vertex hop distance from the root ([`UNREACHED`] for
+/// vertices in other components).
 ///
 /// The serving-shape entry point: build the topology once
 /// (`session.build_graph(&edges.symmetrized()).in_edges(false).finish()?`),
 /// share it via `Arc`, and call this from any number of threads
-/// concurrently. Unlike [`bfs`], no preprocessing happens here — symmetrize
-/// the edge list before building if the search should ignore direction.
+/// concurrently. No preprocessing happens here — symmetrize the edge list
+/// before building if the search should ignore direction (the paper always
+/// does, §5.1). Weights are ignored: an `EdgeList<()>` topology is the
+/// unweighted fast path.
 ///
 /// # Errors
 ///
 /// [`graphmat_core::GraphMatError::VertexOutOfRange`] if `root` is not a
 /// vertex of the topology.
-pub fn bfs_on<E: Clone + Send + Sync>(
+pub fn bfs_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
     topology: &Topology<E>,
     root: VertexId,
 ) -> Result<AlgorithmOutput<u32>> {
-    bfs_view(session, GraphView::base(topology), root)
+    crate::run_fresh(topology, |state| {
+        bfs_view_into(session, GraphView::base(topology), root, None, state)
+    })
 }
 
-/// [`bfs_on`] over a `(base ⊕ delta)` [`GraphView`] — typically
-/// `snapshot.view()` from a [`graphmat_core::store::GraphStore`] snapshot.
-/// The search traverses the **edited** graph, bit-for-bit identical to a
-/// run against a topology rebuilt from the edited edge list.
-pub fn bfs_view<E: Clone + Send + Sync>(
+/// Run BFS over a `(base ⊕ delta)` [`GraphView`] into a caller-owned
+/// (pooled) state — the serving hot path, and the one place BFS's run is
+/// set up.
+///
+/// Zero per-query allocation in the steady state: the hop distances are
+/// left in `state`, and the engine workspace cached inside the state is
+/// recycled. Use one [`graphmat_core::StatePool`] per program type (see its
+/// docs); pass a `deadline` to bound wall-clock time
+/// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it). Over a
+/// view with pending edits the search traverses the **edited** graph,
+/// bit-for-bit identical to a run against a topology rebuilt from the
+/// edited edge list.
+pub fn bfs_view_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
     view: GraphView<'_, E>,
     root: VertexId,
-) -> Result<AlgorithmOutput<u32>> {
+    deadline: Option<std::time::Instant>,
+    state: &mut VertexState<u32>,
+) -> Result<RunResult> {
     session
         .run_view(view, BfsProgram::<E>::default())
         .init_all(UNREACHED)
@@ -174,43 +120,6 @@ pub fn bfs_view<E: Clone + Send + Sync>(
         // BFS semantics are fixed: frontier-driven, run to convergence —
         // session-wide run defaults must not silently truncate or
         // over-activate the search.
-        .activity(ActivityPolicy::Changed)
-        .until_convergence()
-        .execute()
-        .map(AlgorithmOutput::from)
-}
-
-/// Run BFS into a caller-owned (pooled) state — the serving hot path.
-///
-/// Like [`bfs_on`] but with zero per-query allocation in the steady state:
-/// the hop distances are left in `state` instead of a fresh `Vec`, and the
-/// engine workspace cached inside the state is recycled. Use one
-/// [`graphmat_core::StatePool`] per program type (see its docs); pass a
-/// `deadline` to bound wall-clock time
-/// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it).
-pub fn bfs_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    topology: &Topology<E>,
-    root: VertexId,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u32>,
-) -> Result<graphmat_core::RunResult> {
-    bfs_view_into(session, GraphView::base(topology), root, deadline, state)
-}
-
-/// [`bfs_into`] over a `(base ⊕ delta)` [`GraphView`] — the serving hot path
-/// when the store has pending deltas. Identical pooling/allocation behaviour.
-pub fn bfs_view_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    view: GraphView<'_, E>,
-    root: VertexId,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u32>,
-) -> Result<graphmat_core::RunResult> {
-    session
-        .run_view(view, BfsProgram::<E>::default())
-        .init_all(UNREACHED)
-        .seed_with(root, 0)
         .activity(ActivityPolicy::Changed)
         .until_convergence()
         .deadline(deadline)
@@ -255,65 +164,25 @@ mod tests {
         EdgeList::from_pairs(6, vec![(0, 1), (1, 2), (2, 3), (1, 4)])
     }
 
+    /// `el` as a topology in `session`: out-edges only, no preprocessing.
+    fn build(session: &Session, el: &EdgeList<()>) -> std::sync::Arc<Topology<()>> {
+        session.build_graph(el).in_edges(false).finish().unwrap()
+    }
+
     #[test]
     fn distances_match_reference() {
         let el = chain_with_branch();
-        let out = bfs(&el, &BfsConfig::from_root(0), &RunOptions::sequential());
+        let session = Session::sequential();
+        let out = bfs_on(&session, &build(&session, &el.symmetrized()), 0).unwrap();
         assert_eq!(out.values, bfs_reference(&el, 0, true));
         assert_eq!(out.values, vec![0, 1, 2, 3, 2, UNREACHED]);
         assert!(out.converged);
-    }
-
-    #[test]
-    fn symmetrization_makes_directed_edges_traversable_backwards() {
-        let el = EdgeList::from_pairs(3, vec![(1, 0), (1, 2)]);
-        // rooted at 0: without symmetrization nothing is reachable
-        let no_sym = bfs(
-            &el,
-            &BfsConfig {
-                root: 0,
-                symmetrize: false,
-                ..Default::default()
-            },
-            &RunOptions::sequential(),
-        );
-        assert_eq!(no_sym.values, vec![0, UNREACHED, UNREACHED]);
-        let sym = bfs(&el, &BfsConfig::from_root(0), &RunOptions::sequential());
-        assert_eq!(sym.values, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn number_of_supersteps_equals_eccentricity() {
-        let el = chain_with_branch();
-        let out = bfs(&el, &BfsConfig::from_root(0), &RunOptions::sequential());
         // frontier advances one hop per superstep; final superstep discovers
         // nothing new, so iterations = max distance + 1
         assert_eq!(out.stats.iterations, 4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_root_panics() {
-        let el = chain_with_branch();
-        let _ = bfs(&el, &BfsConfig::from_root(99), &RunOptions::sequential());
-    }
-
-    #[test]
-    fn session_driver_matches_facade() {
-        let el = chain_with_branch();
-        let session = Session::sequential();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let on = bfs_on(&session, &topo, 0).unwrap();
-        let facade = bfs(&el, &BfsConfig::from_root(0), &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
-        assert!(on.converged);
 
         // Misuse is an error, not a panic.
-        let err = bfs_on(&session, &topo, 99).unwrap_err();
+        let err = bfs_on(&session, &build(&session, &el), 99).unwrap_err();
         assert_eq!(
             err,
             graphmat_core::GraphMatError::VertexOutOfRange {
@@ -321,6 +190,17 @@ mod tests {
                 num_vertices: 6
             }
         );
+    }
+
+    #[test]
+    fn symmetrization_makes_directed_edges_traversable_backwards() {
+        let el = EdgeList::from_pairs(3, vec![(1, 0), (1, 2)]);
+        let session = Session::sequential();
+        // rooted at 0: without symmetrization nothing is reachable
+        let directed = bfs_on(&session, &build(&session, &el), 0).unwrap();
+        assert_eq!(directed.values, vec![0, UNREACHED, UNREACHED]);
+        let sym = bfs_on(&session, &build(&session, &el.symmetrized()), 0).unwrap();
+        assert_eq!(sym.values, vec![0, 1, 2]);
     }
 
     #[test]
@@ -332,16 +212,11 @@ mod tests {
         let session = Session::new(
             SessionOptions::default()
                 .with_threads(1)
-                .with_run_defaults(RunOptions::sequential().with_max_iterations(1)),
+                .with_run_defaults(RunOptions::default().with_max_iterations(1)),
         )
         .unwrap();
         let el = chain_with_branch();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let out = bfs_on(&session, &topo, 0).unwrap();
+        let out = bfs_on(&session, &build(&session, &el.symmetrized()), 0).unwrap();
         assert!(out.converged);
         assert_eq!(out.values, vec![0, 1, 2, 3, 2, UNREACHED]);
     }
@@ -350,23 +225,19 @@ mod tests {
     fn pooled_driver_matches_and_reruns_identically() {
         let el = chain_with_branch();
         let session = Session::sequential();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = build(&session, &el.symmetrized());
         let on = bfs_on(&session, &topo, 0).unwrap();
 
         let mut pool = graphmat_core::StatePool::for_topology(&topo);
         let mut state = pool.acquire();
-        bfs_into(&session, &topo, 0, None, &mut state).unwrap();
+        bfs_view_into(&session, GraphView::base(&topo), 0, None, &mut state).unwrap();
         assert_eq!(state.properties(), on.values.as_slice());
         pool.release(state);
 
         // Rerun from the pool: the stale distances must be re-initialized
         // and the cached workspace reused.
         let mut state = pool.acquire();
-        bfs_into(&session, &topo, 1, None, &mut state).unwrap();
+        bfs_view_into(&session, GraphView::base(&topo), 1, None, &mut state).unwrap();
         let fresh = bfs_on(&session, &topo, 1).unwrap();
         assert_eq!(state.properties(), fresh.values.as_slice());
         assert!(state.has_cached_workspace());
@@ -378,9 +249,11 @@ mod tests {
     fn parallel_matches_sequential_on_rmat() {
         let el =
             graphmat_io::rmat::generate(&graphmat_io::rmat::RmatConfig::graph500(9).with_seed(21));
-        let cfg = BfsConfig::from_root(1);
-        let seq = bfs(&el, &cfg, &RunOptions::sequential());
-        let par = bfs(&el, &cfg, &RunOptions::default().with_threads(4));
+        let run = |session: Session| {
+            bfs_on(&session, &build(&session, &el.symmetrized().topology()), 1).unwrap()
+        };
+        let seq = run(Session::sequential());
+        let par = run(Session::with_threads(4).unwrap());
         assert_eq!(seq.values, par.values);
         assert_eq!(seq.values, bfs_reference(&el, 1, true));
     }

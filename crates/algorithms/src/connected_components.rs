@@ -11,29 +11,10 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    run_graph_program, ActivityPolicy, EdgeDirection, Graph, GraphBuildOptions, GraphProgram,
-    GraphView, RunOptions, Session, Topology, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, Topology, VertexId,
+    VertexState,
 };
 use graphmat_io::edgelist::EdgeList;
-
-/// Connected-components parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct CcConfig {
-    /// Symmetrize the input first (connected components are defined on the
-    /// undirected graph).
-    pub symmetrize: bool,
-    /// Graph construction options.
-    pub build: GraphBuildOptions,
-}
-
-impl Default for CcConfig {
-    fn default() -> Self {
-        CcConfig {
-            symmetrize: true,
-            build: GraphBuildOptions::default().with_in_edges(false),
-        }
-    }
-}
 
 /// The label-propagation vertex program. Generic over the (ignored) edge
 /// type; `CcProgram<()>` is the unweighted fast path.
@@ -80,97 +61,46 @@ impl<E: Clone + Send + Sync> GraphProgram for CcProgram<E> {
     }
 }
 
-/// Compute connected components; the result maps every vertex to the minimum
-/// vertex id in its component.
-pub fn connected_components<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    config: &CcConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<u32> {
-    let symmetric;
-    let edges = if config.symmetrize {
-        symmetric = edges.symmetrized();
-        &symmetric
-    } else {
-        edges
-    };
-    let mut graph: Graph<u32, E> = Graph::from_edge_list(edges, config.build);
-    graph.init_properties(|v| v);
-    graph.set_all_active();
-    let result = run_graph_program(&CcProgram::<E>::default(), &mut graph, options);
-    AlgorithmOutput {
-        values: graph.properties().to_vec(),
-        stats: result.stats,
-        converged: result.converged,
-    }
-}
-
 /// Compute connected components over a pre-built shared topology through a
-/// [`Session`].
+/// [`Session`]; the result maps every vertex to the minimum vertex id in its
+/// component.
 ///
 /// The serving-shape entry point. Connected components are defined on the
 /// undirected graph, so build the topology from a **symmetrized** edge list
 /// (`session.build_graph(&edges.symmetrized()).in_edges(false).finish()?`);
 /// no preprocessing happens here.
-pub fn connected_components_on<E: Clone + Send + Sync>(
+pub fn connected_components_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
     topology: &Topology<E>,
 ) -> Result<AlgorithmOutput<u32>> {
-    connected_components_view(session, GraphView::base(topology))
+    crate::run_fresh(topology, |state| {
+        connected_components_view_into(session, GraphView::base(topology), None, state)
+    })
 }
 
-/// [`connected_components_on`] over a `(base ⊕ delta)` [`GraphView`] —
-/// typically `snapshot.view()` from a
-/// [`graphmat_core::store::GraphStore`] snapshot. Labels propagate over the
-/// **edited** graph, bit-for-bit identical to a run against a topology
-/// rebuilt from the edited edge list.
-pub fn connected_components_view<E: Clone + Send + Sync>(
+/// Run connected components over a `(base ⊕ delta)` [`GraphView`] into a
+/// caller-owned (pooled) state — the serving hot path, and the one place
+/// the label propagation's run is set up.
+///
+/// Zero per-query allocation in the steady state: the labels are left in
+/// `state`, and the engine workspace cached inside the state is recycled.
+/// Use one [`graphmat_core::StatePool`] per program type (see its docs);
+/// pass a `deadline` to bound wall-clock time
+/// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it). Over a
+/// view with pending edits, labels propagate over the **edited** graph,
+/// bit-for-bit identical to a run against a rebuilt topology.
+pub fn connected_components_view_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
     view: GraphView<'_, E>,
-) -> Result<AlgorithmOutput<u32>> {
+    deadline: Option<std::time::Instant>,
+    state: &mut VertexState<u32>,
+) -> Result<RunResult> {
     session
         .run_view(view, CcProgram::<E>::default())
         .init_with(|v| v)
         .activate_all()
         // Label propagation must run until no label changes; don't let
         // session run defaults truncate or over-activate it.
-        .activity(ActivityPolicy::Changed)
-        .until_convergence()
-        .execute()
-        .map(AlgorithmOutput::from)
-}
-
-/// Run connected components into a caller-owned (pooled) state — the
-/// serving hot path.
-///
-/// Like [`connected_components_on`] but with zero per-query allocation in
-/// the steady state: the labels are left in `state` instead of a fresh
-/// `Vec`, and the engine workspace cached inside the state is recycled. Use
-/// one [`graphmat_core::StatePool`] per program type (see its docs); pass a
-/// `deadline` to bound wall-clock time
-/// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it).
-pub fn connected_components_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    topology: &Topology<E>,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u32>,
-) -> Result<graphmat_core::RunResult> {
-    connected_components_view_into(session, GraphView::base(topology), deadline, state)
-}
-
-/// [`connected_components_into`] over a `(base ⊕ delta)` [`GraphView`] —
-/// the serving hot path when the store has pending deltas. Identical
-/// pooling/allocation behaviour.
-pub fn connected_components_view_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    view: GraphView<'_, E>,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u32>,
-) -> Result<graphmat_core::RunResult> {
-    session
-        .run_view(view, CcProgram::<E>::default())
-        .init_with(|v| v)
-        .activate_all()
         .activity(ActivityPolicy::Changed)
         .until_convergence()
         .deadline(deadline)
@@ -220,10 +150,20 @@ pub fn connected_components_reference<E>(edges: &EdgeList<E>) -> Vec<u32> {
 mod tests {
     use super::*;
 
+    /// Components of `el`, symmetrized, on `session`.
+    fn components_in(session: &Session, el: &EdgeList<()>) -> AlgorithmOutput<u32> {
+        let topo = session
+            .build_graph(&el.symmetrized())
+            .in_edges(false)
+            .finish()
+            .unwrap();
+        connected_components_on(session, &topo).unwrap()
+    }
+
     #[test]
     fn two_components() {
         let el = EdgeList::from_pairs(6, vec![(0, 1), (1, 2), (3, 4)]);
-        let out = connected_components(&el, &CcConfig::default(), &RunOptions::sequential());
+        let out = components_in(&Session::sequential(), &el);
         assert_eq!(out.values, vec![0, 0, 0, 3, 3, 5]);
         assert_eq!(component_count(&out.values), 3);
         assert!(out.converged);
@@ -234,27 +174,8 @@ mod tests {
         let el = graphmat_io::uniform::generate(
             &graphmat_io::uniform::UniformConfig::new(300, 400).with_seed(13),
         );
-        let out = connected_components(
-            &el,
-            &CcConfig::default(),
-            &RunOptions::default().with_threads(4),
-        );
-        let reference = connected_components_reference(&el);
-        assert_eq!(out.values, reference);
-    }
-
-    #[test]
-    fn session_driver_matches_facade() {
-        let el = EdgeList::from_pairs(6, vec![(0, 1), (1, 2), (3, 4)]);
-        let session = Session::sequential();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let on = connected_components_on(&session, &topo).unwrap();
-        let facade = connected_components(&el, &CcConfig::default(), &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
+        let out = components_in(&Session::with_threads(4).unwrap(), &el.topology());
+        assert_eq!(out.values, connected_components_reference(&el));
     }
 
     #[test]
@@ -269,15 +190,14 @@ mod tests {
         let on = connected_components_on(&session, &topo).unwrap();
 
         let mut pool = graphmat_core::StatePool::for_topology(&topo);
-        let mut state = pool.acquire();
-        connected_components_into(&session, &topo, None, &mut state).unwrap();
-        assert_eq!(state.properties(), on.values.as_slice());
-        pool.release(state);
-
-        let mut state = pool.acquire();
-        connected_components_into(&session, &topo, None, &mut state).unwrap();
-        assert_eq!(state.properties(), on.values.as_slice());
-        assert!(state.has_cached_workspace());
+        for _ in 0..2 {
+            let mut state = pool.acquire();
+            connected_components_view_into(&session, GraphView::base(&topo), None, &mut state)
+                .unwrap();
+            assert_eq!(state.properties(), on.values.as_slice());
+            assert!(state.has_cached_workspace());
+            pool.release(state);
+        }
         assert_eq!((pool.created(), pool.reused()), (1, 1));
     }
 
@@ -287,7 +207,7 @@ mod tests {
             removal_fraction: 0.0,
             ..graphmat_io::grid::GridConfig::square(12)
         });
-        let out = connected_components(&el, &CcConfig::default(), &RunOptions::sequential());
+        let out = components_in(&Session::sequential(), &el.topology());
         assert_eq!(component_count(&out.values), 1);
         assert!(out.values.iter().all(|&l| l == 0));
     }
@@ -296,7 +216,7 @@ mod tests {
     fn directionality_is_ignored_via_symmetrization() {
         // directed chain 2 -> 1 -> 0: still one component
         let el = EdgeList::from_pairs(3, vec![(2, 1), (1, 0)]);
-        let out = connected_components(&el, &CcConfig::default(), &RunOptions::sequential());
+        let out = components_in(&Session::sequential(), &el);
         assert_eq!(component_count(&out.values), 1);
     }
 }

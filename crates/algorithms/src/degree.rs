@@ -5,16 +5,13 @@
 //! vertex is active, sends the message `1`, `PROCESS_MESSAGE` is the constant
 //! `1`, `REDUCE` is `+`, and `APPLY` stores the sum. The module exists partly
 //! as the simplest possible example of the framework and partly so tests can
-//! cross-check the engine against [`graphmat_core::Graph`]'s own degree
-//! bookkeeping.
+//! cross-check the engine against the topology's own degree bookkeeping.
 
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    run_graph_program, EdgeDirection, Graph, GraphBuildOptions, GraphProgram, GraphView,
-    RunOptions, Session, Topology, VertexId,
+    EdgeDirection, GraphProgram, GraphView, RunResult, Session, Topology, VertexId, VertexState,
 };
-use graphmat_io::edgelist::EdgeList;
 
 /// Degree-counting vertex program; the direction field selects which matrix
 /// is traversed. Generic over the (ignored) edge type.
@@ -50,73 +47,14 @@ impl<E: Clone + Send + Sync> GraphProgram for DegreeProgram<E> {
     }
 }
 
-fn run_degree<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    direction: EdgeDirection,
-    options: &RunOptions,
-) -> AlgorithmOutput<u64> {
-    let mut graph: Graph<u64, E> = Graph::from_edge_list(edges, GraphBuildOptions::default());
-    graph.set_all_active();
-    let program = DegreeProgram {
-        direction,
-        _edge: std::marker::PhantomData,
-    };
-    let opts = RunOptions {
-        max_iterations: Some(1),
-        ..*options
-    };
-    let result = run_graph_program(&program, &mut graph, &opts);
-    AlgorithmOutput {
-        values: graph.properties().to_vec(),
-        stats: result.stats,
-        converged: true,
-    }
-}
-
-/// In-degree of every vertex, computed as `Gᵀ · 1` (Figure 1 of the paper).
-pub fn in_degrees<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    options: &RunOptions,
-) -> AlgorithmOutput<u64> {
-    run_degree(edges, EdgeDirection::Out, options)
-}
-
-/// Out-degree of every vertex, computed as `G · 1`.
-pub fn out_degrees<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    options: &RunOptions,
-) -> AlgorithmOutput<u64> {
-    run_degree(edges, EdgeDirection::In, options)
-}
-
-fn run_degree_on<E: Clone + Send + Sync>(
+/// In-degrees over a pre-built shared topology through a [`Session`].
+pub fn in_degrees_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
     topology: &Topology<E>,
-    direction: EdgeDirection,
 ) -> Result<AlgorithmOutput<u64>> {
-    let program = DegreeProgram {
-        direction,
-        _edge: std::marker::PhantomData::<E>,
-    };
-    let outcome = session
-        .run(topology, program)
-        .activate_all()
-        .max_iterations(1)
-        .execute()?;
-    Ok(AlgorithmOutput {
-        values: outcome.values,
-        stats: outcome.stats,
-        converged: true,
+    crate::run_fresh(topology, |state| {
+        in_degrees_view_into(session, GraphView::base(topology), None, state)
     })
-}
-
-/// In-degrees over a pre-built shared topology through a [`Session`]
-/// (serving-shape variant of [`in_degrees`]).
-pub fn in_degrees_on<E: Clone + Send + Sync>(
-    session: &Session,
-    topology: &Topology<E>,
-) -> Result<AlgorithmOutput<u64>> {
-    run_degree_on(session, topology, EdgeDirection::Out)
 }
 
 /// Out-degrees over a pre-built shared topology through a [`Session`].
@@ -125,20 +63,31 @@ pub fn in_degrees_on<E: Clone + Send + Sync>(
 ///
 /// [`graphmat_core::GraphMatError::MissingInMatrix`] if the topology was
 /// built with `in_edges(false)` — the out-degree SpMV traverses `G`.
-pub fn out_degrees_on<E: Clone + Send + Sync>(
+pub fn out_degrees_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
     topology: &Topology<E>,
 ) -> Result<AlgorithmOutput<u64>> {
-    run_degree_on(session, topology, EdgeDirection::In)
+    crate::run_fresh(topology, |state| {
+        run_degree_view_into(
+            session,
+            GraphView::base(topology),
+            EdgeDirection::In,
+            None,
+            state,
+        )
+    })
 }
 
+/// The one place a degree run is set up: `direction` picks the matrix
+/// (`Out` traverses `Gᵀ` and counts in-degrees, `In` traverses `G` and
+/// counts out-degrees).
 fn run_degree_view_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
     view: GraphView<'_, E>,
     direction: EdgeDirection,
     deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u64>,
-) -> Result<graphmat_core::RunResult> {
+    state: &mut VertexState<u64>,
+) -> Result<RunResult> {
     let program = DegreeProgram {
         direction,
         _edge: std::marker::PhantomData::<E>,
@@ -155,57 +104,23 @@ fn run_degree_view_into<E: Clone + Send + Sync + 'static>(
         .execute_with(state)
 }
 
-/// In-degrees into a caller-owned (pooled) state — the serving hot path
+/// In-degrees (`Gᵀ · 1`, Figure 1 of the paper) over a `(base ⊕ delta)`
+/// [`GraphView`] into a caller-owned (pooled) state — the serving hot path
 /// (zero per-query allocation in the steady state; see
 /// [`graphmat_core::StatePool`]).
-pub fn in_degrees_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    topology: &Topology<E>,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u64>,
-) -> Result<graphmat_core::RunResult> {
-    run_degree_view_into(
-        session,
-        GraphView::base(topology),
-        EdgeDirection::Out,
-        deadline,
-        state,
-    )
-}
-
-/// [`in_degrees_into`] over a `(base ⊕ delta)` [`GraphView`] — the serving
-/// hot path when the store has pending deltas.
 pub fn in_degrees_view_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
     view: GraphView<'_, E>,
     deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u64>,
-) -> Result<graphmat_core::RunResult> {
+    state: &mut VertexState<u64>,
+) -> Result<RunResult> {
     run_degree_view_into(session, view, EdgeDirection::Out, deadline, state)
-}
-
-/// Out-degrees into a caller-owned (pooled) state — the serving hot path
-/// (zero per-query allocation in the steady state; see
-/// [`graphmat_core::StatePool`]). Needs a topology built with in-edges,
-/// like [`out_degrees_on`].
-pub fn out_degrees_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    topology: &Topology<E>,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u64>,
-) -> Result<graphmat_core::RunResult> {
-    run_degree_view_into(
-        session,
-        GraphView::base(topology),
-        EdgeDirection::In,
-        deadline,
-        state,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphmat_io::edgelist::EdgeList;
 
     fn figure1_graph() -> EdgeList<()> {
         // Figure 1: A->B, A->C, B->C, C->D  (A=0, B=1, C=2, D=3)
@@ -213,15 +128,16 @@ mod tests {
     }
 
     #[test]
-    fn figure1_in_degrees() {
-        let out = in_degrees(&figure1_graph(), &RunOptions::sequential());
-        assert_eq!(out.values, vec![0, 1, 2, 1]);
-    }
-
-    #[test]
-    fn figure1_out_degrees() {
-        let out = out_degrees(&figure1_graph(), &RunOptions::sequential());
-        assert_eq!(out.values, vec![2, 1, 1, 0]);
+    fn figure1_degrees_in_a_single_superstep() {
+        let session = Session::sequential();
+        let topo = session.build_graph(&figure1_graph()).finish().unwrap();
+        let ins = in_degrees_on(&session, &topo).unwrap();
+        assert_eq!(ins.values, vec![0, 1, 2, 1]);
+        assert_eq!(ins.stats.iterations, 1);
+        assert_eq!(
+            out_degrees_on(&session, &topo).unwrap().values,
+            vec![2, 1, 1, 0]
+        );
     }
 
     #[test]
@@ -229,24 +145,18 @@ mod tests {
         let el = graphmat_io::uniform::generate(
             &graphmat_io::uniform::UniformConfig::new(128, 1024).with_seed(2),
         );
-        let ins = in_degrees(&el, &RunOptions::default().with_threads(2));
-        let outs = out_degrees(&el, &RunOptions::default().with_threads(2));
+        let session = Session::with_threads(2).unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
         let expect_in: Vec<u64> = el.in_degrees().iter().map(|&d| d as u64).collect();
         let expect_out: Vec<u64> = el.out_degrees().iter().map(|&d| d as u64).collect();
-        assert_eq!(ins.values, expect_in);
-        assert_eq!(outs.values, expect_out);
+        assert_eq!(in_degrees_on(&session, &topo).unwrap().values, expect_in);
+        assert_eq!(out_degrees_on(&session, &topo).unwrap().values, expect_out);
     }
 
     #[test]
-    fn session_drivers_match_facades_and_surface_missing_in_matrix() {
-        let el = figure1_graph();
+    fn out_degrees_need_the_in_matrix() {
         let session = Session::sequential();
-        let topo = session.build_graph(&el).finish().unwrap();
-        let ins = in_degrees_on(&session, &topo).unwrap();
-        let outs = out_degrees_on(&session, &topo).unwrap();
-        assert_eq!(ins.values, vec![0, 1, 2, 1]);
-        assert_eq!(outs.values, vec![2, 1, 1, 0]);
-
+        let el = figure1_graph();
         let out_only = session.build_graph(&el).in_edges(false).finish().unwrap();
         assert!(in_degrees_on(&session, &out_only).is_ok());
         assert_eq!(
@@ -257,31 +167,25 @@ mod tests {
 
     #[test]
     fn pooled_driver_matches_and_clears_stale_counts() {
-        let el = figure1_graph();
         let session = Session::sequential();
-        let topo = session.build_graph(&el).finish().unwrap();
+        let topo = session.build_graph(&figure1_graph()).finish().unwrap();
+        let view = GraphView::base(&*topo);
 
         let mut pool = graphmat_core::StatePool::for_topology(&topo);
         let mut state = pool.acquire();
-        in_degrees_into(&session, &topo, None, &mut state).unwrap();
+        in_degrees_view_into(&session, view, None, &mut state).unwrap();
         assert_eq!(state.properties(), vec![0, 1, 2, 1]);
         pool.release(state);
 
         // Vertex A (in-degree 0) receives no message; a recycled state must
         // not leak the previous query's count into it.
         let mut state = pool.acquire();
-        out_degrees_into(&session, &topo, None, &mut state).unwrap();
+        run_degree_view_into(&session, view, EdgeDirection::In, None, &mut state).unwrap();
         assert_eq!(state.properties(), vec![2, 1, 1, 0]);
         pool.release(state);
         let mut state = pool.acquire();
-        in_degrees_into(&session, &topo, None, &mut state).unwrap();
+        in_degrees_view_into(&session, view, None, &mut state).unwrap();
         assert_eq!(state.properties(), vec![0, 1, 2, 1]);
         assert_eq!((pool.created(), pool.reused()), (1, 2));
-    }
-
-    #[test]
-    fn single_superstep() {
-        let out = in_degrees(&figure1_graph(), &RunOptions::sequential());
-        assert_eq!(out.stats.iterations, 1);
     }
 }

@@ -28,12 +28,8 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::store::{GraphSnapshot, GraphStore};
-use graphmat_core::{
-    run_graph_program, EdgeDirection, Graph, GraphBuildOptions, GraphProgram, GraphView,
-    RunOptions, Session, Topology, VertexId,
-};
+use graphmat_core::{EdgeDirection, GraphProgram, GraphView, Session, Topology, VertexId};
 use graphmat_delta::DeltaBatch;
-use graphmat_io::edgelist::EdgeList;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -47,8 +43,6 @@ pub struct DeltaPageRankConfig {
     pub tolerance: f64,
     /// Hard iteration cap (safety net).
     pub max_iterations: usize,
-    /// Graph construction options.
-    pub build: GraphBuildOptions,
 }
 
 impl Default for DeltaPageRankConfig {
@@ -57,7 +51,6 @@ impl Default for DeltaPageRankConfig {
             random_surf: 0.15,
             tolerance: 1e-7,
             max_iterations: 500,
-            build: GraphBuildOptions::default().with_in_edges(false),
         }
     }
 }
@@ -117,47 +110,16 @@ impl<E: Clone + Send + Sync> GraphProgram for DeltaPageRankProgram<E> {
     }
 }
 
-/// Run PageRank until every vertex's rank increment falls below the
-/// tolerance. The returned ranks satisfy the same fixed-point equation as
-/// [`crate::pagerank::pagerank`]; they differ from a truncated
+/// Run PageRank over a pre-built shared topology through a [`Session`]
+/// until every vertex's rank increment falls below the tolerance. The
+/// returned ranks satisfy the same fixed-point equation as
+/// [`crate::pagerank::pagerank_on`]; they differ from a truncated
 /// fixed-iteration run only by the tolerance.
-pub fn delta_pagerank<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    config: &DeltaPageRankConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<f64> {
-    assert!(config.tolerance > 0.0, "tolerance must be positive");
-    let mut graph: Graph<DeltaPrVertex, E> = Graph::from_edge_list(edges, config.build);
-    let degrees: Vec<u32> = graph.out_degrees().to_vec();
-    let r = config.random_surf;
-    graph.init_properties(|v| DeltaPrVertex {
-        rank: r,
-        delta: r,
-        degree: degrees[v as usize],
-    });
-    graph.set_all_active();
-
-    let program = DeltaPageRankProgram::<E> {
-        random_surf: config.random_surf,
-        tolerance: config.tolerance,
-        _edge: std::marker::PhantomData,
-    };
-    let run_opts = RunOptions {
-        max_iterations: Some(config.max_iterations),
-        ..*options
-    };
-    let result = run_graph_program(&program, &mut graph, &run_opts);
-
-    AlgorithmOutput {
-        values: graph.properties().iter().map(|p| p.rank).collect(),
-        stats: result.stats,
-        converged: result.converged,
-    }
-}
-
-/// Run delta-PageRank over a pre-built shared topology through a
-/// [`Session`] (serving-shape variant of [`delta_pagerank`]; `config.build`
-/// is ignored).
+///
+/// # Errors
+///
+/// [`graphmat_core::GraphMatError::InvalidParameter`] for a non-positive
+/// or NaN tolerance.
 pub fn delta_pagerank_on<E: Clone + Send + Sync>(
     session: &Session,
     topology: &Topology<E>,
@@ -177,8 +139,8 @@ pub fn delta_pagerank_view<E: Clone + Send + Sync>(
     config: &DeltaPageRankConfig,
 ) -> Result<AlgorithmOutput<f64>> {
     validate_tolerance(config.tolerance)?;
-    // Zero iterations returns the initial state without running, matching
-    // the facade and the other fixed-iteration session drivers.
+    // Zero iterations returns the initial state without running, like the
+    // other fixed-iteration drivers.
     if config.max_iterations == 0 {
         return Ok(AlgorithmOutput {
             values: vec![config.random_surf; view.num_vertices() as usize],
@@ -206,60 +168,7 @@ pub fn delta_pagerank_view<E: Clone + Send + Sync>(
         .activity(graphmat_core::ActivityPolicy::Changed)
         .max_iterations(config.max_iterations)
         .execute()?;
-    Ok(AlgorithmOutput {
-        values: outcome.values.iter().map(|p| p.rank).collect(),
-        stats: outcome.stats,
-        converged: outcome.converged,
-    })
-}
-
-/// Run delta-PageRank into a caller-owned (pooled) state — the serving hot
-/// path.
-///
-/// Like [`delta_pagerank_on`] but with zero per-query allocation in the
-/// steady state: the final [`DeltaPrVertex`] properties are left in `state`
-/// (read ranks with `state.properties()[v].rank`) and the engine workspace
-/// cached inside the state is recycled. All parameter validation is typed —
-/// a bad tolerance is [`graphmat_core::GraphMatError::InvalidParameter`],
-/// never a panic. `deadline`, when given, bounds wall-clock time.
-pub fn delta_pagerank_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    topology: &Topology<E>,
-    config: &DeltaPageRankConfig,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<DeltaPrVertex>,
-) -> Result<graphmat_core::RunResult> {
-    validate_tolerance(config.tolerance)?;
-    let degrees = topology.out_degrees();
-    let r = config.random_surf;
-    state.check_matches(topology)?;
-    // Initialise the pooled state directly instead of through
-    // `RunBuilder::init_with`: the builder boxes its init closure, and this
-    // one captures the degree slice — a small per-query heap allocation the
-    // serving hot path must not make (`tests/zero_alloc.rs`).
-    state.init_properties(|v| DeltaPrVertex {
-        rank: r,
-        delta: r,
-        degree: degrees[v as usize],
-    });
-    if config.max_iterations == 0 {
-        return Ok(graphmat_core::RunResult {
-            stats: crate::zero_superstep_stats(topology, session),
-            converged: false,
-        });
-    }
-    let program = DeltaPageRankProgram::<E> {
-        random_surf: config.random_surf,
-        tolerance: config.tolerance,
-        _edge: std::marker::PhantomData,
-    };
-    session
-        .run(topology, program)
-        .activate_all()
-        .activity(graphmat_core::ActivityPolicy::Changed)
-        .max_iterations(config.max_iterations)
-        .deadline(deadline)
-        .execute_with(state)
+    Ok(AlgorithmOutput::from(outcome).map_values(|p| p.rank))
 }
 
 /// NaN must be rejected alongside non-positive values — a NaN tolerance
@@ -489,19 +398,29 @@ impl StreamingPageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagerank::{pagerank, PageRankConfig};
+    use crate::pagerank::{pagerank_on, PageRankConfig};
+    use graphmat_io::edgelist::EdgeList;
 
     fn test_graph() -> EdgeList {
         graphmat_io::rmat::generate(&graphmat_io::rmat::RmatConfig::graph500(8).with_seed(3))
     }
 
+    /// Delta-PageRank over `el` on `session`.
+    fn delta_in(
+        session: &Session,
+        el: &EdgeList,
+        cfg: &DeltaPageRankConfig,
+    ) -> AlgorithmOutput<f64> {
+        let topo = session.build_graph(el).in_edges(false).finish().unwrap();
+        delta_pagerank_on(session, &topo, cfg).unwrap()
+    }
+
     #[test]
     fn converges_before_the_iteration_cap() {
-        let el = test_graph();
-        let out = delta_pagerank(
-            &el,
+        let out = delta_in(
+            &Session::sequential(),
+            &test_graph(),
             &DeltaPageRankConfig::default(),
-            &RunOptions::sequential(),
         );
         assert!(out.converged);
         assert!(out.stats.iterations < 500);
@@ -519,25 +438,28 @@ mod tests {
         for v in 0..n {
             edges.push((v, (v + 1) % n, 1.0));
         }
-        let el = graphmat_io::edgelist::EdgeList::from_tuples(n, edges);
+        let el = EdgeList::from_tuples(n, edges);
 
-        let delta = delta_pagerank(
+        let session = Session::sequential();
+        let delta = delta_in(
+            &session,
             &el,
             &DeltaPageRankConfig {
                 tolerance: 1e-12,
                 max_iterations: 1000,
                 ..Default::default()
             },
-            &RunOptions::sequential(),
         );
-        let fixed = pagerank(
-            &el,
+        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let fixed = pagerank_on(
+            &session,
+            &topo,
             &PageRankConfig {
                 iterations: 200,
                 ..Default::default()
             },
-            &RunOptions::sequential(),
-        );
+        )
+        .unwrap();
         for (v, (a, b)) in delta.values.iter().zip(fixed.values.iter()).enumerate() {
             assert!((a - b).abs() < 1e-4, "vertex {v}: {a} vs {b}");
         }
@@ -545,55 +467,34 @@ mod tests {
 
     #[test]
     fn active_set_shrinks_over_time() {
-        let el = test_graph();
-        let out = delta_pagerank(
-            &el,
-            &DeltaPageRankConfig {
-                tolerance: 1e-6,
-                ..Default::default()
-            },
-            &RunOptions::sequential(),
-        );
+        let cfg = DeltaPageRankConfig {
+            tolerance: 1e-6,
+            ..Default::default()
+        };
+        let out = delta_in(&Session::sequential(), &test_graph(), &cfg);
         let first = out.stats.supersteps.first().unwrap().active_vertices;
         let last = out.stats.supersteps.last().unwrap().active_vertices;
         assert!(last < first, "frontier should shrink: {first} -> {last}");
     }
 
     #[test]
-    fn session_driver_matches_facade_bit_for_bit() {
-        let el = test_graph();
-        let cfg = DeltaPageRankConfig::default();
-        let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
-        let on = delta_pagerank_on(&session, &topo, &cfg).unwrap();
-        let facade = delta_pagerank(&el, &cfg, &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
-        assert_eq!(on.converged, facade.converged);
-    }
-
-    #[test]
     fn parallel_matches_sequential() {
         let el = test_graph();
         let cfg = DeltaPageRankConfig::default();
-        let seq = delta_pagerank(&el, &cfg, &RunOptions::sequential());
-        let par = delta_pagerank(&el, &cfg, &RunOptions::default().with_threads(4));
+        let seq = delta_in(&Session::sequential(), &el, &cfg);
+        let par = delta_in(&Session::with_threads(4).unwrap(), &el, &cfg);
         for (a, b) in seq.values.iter().zip(par.values.iter()) {
             assert!((a - b).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn zero_iterations_returns_initial_ranks_like_the_facade() {
-        let el = test_graph();
+    fn zero_iterations_return_the_initial_ranks() {
         let cfg = DeltaPageRankConfig {
             max_iterations: 0,
             ..Default::default()
         };
-        let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
-        let on = delta_pagerank_on(&session, &topo, &cfg).unwrap();
-        let facade = delta_pagerank(&el, &cfg, &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
+        let on = delta_in(&Session::sequential(), &test_graph(), &cfg);
         assert!(on.values.iter().all(|&r| r == cfg.random_surf));
         assert!(!on.converged);
     }
@@ -616,54 +517,6 @@ mod tests {
                 "tolerance {tolerance} must be rejected"
             );
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_tolerance_is_rejected() {
-        let el = test_graph();
-        let _ = delta_pagerank(
-            &el,
-            &DeltaPageRankConfig {
-                tolerance: 0.0,
-                ..Default::default()
-            },
-            &RunOptions::sequential(),
-        );
-    }
-
-    #[test]
-    fn pooled_driver_matches_session_driver_and_validates_typed() {
-        let el = test_graph();
-        let cfg = DeltaPageRankConfig::default();
-        let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
-        let on = delta_pagerank_on(&session, &topo, &cfg).unwrap();
-
-        let mut pool = graphmat_core::StatePool::for_topology(&topo);
-        let mut state = pool.acquire();
-        delta_pagerank_into(&session, &topo, &cfg, None, &mut state).unwrap();
-        let ranks: Vec<f64> = state.properties().iter().map(|p| p.rank).collect();
-        assert_eq!(ranks, on.values);
-        pool.release(state);
-
-        // Rerun through the pool: identical, workspace recycled.
-        let mut state = pool.acquire();
-        delta_pagerank_into(&session, &topo, &cfg, None, &mut state).unwrap();
-        let ranks: Vec<f64> = state.properties().iter().map(|p| p.rank).collect();
-        assert_eq!(ranks, on.values);
-        assert!(state.has_cached_workspace());
-
-        // Parameter validation is typed on the pooled path too — no panic.
-        let bad = DeltaPageRankConfig {
-            tolerance: f64::NAN,
-            ..Default::default()
-        };
-        assert!(matches!(
-            delta_pagerank_into(&session, &topo, &bad, None, &mut state).unwrap_err(),
-            graphmat_core::GraphMatError::InvalidParameter(_)
-        ));
-        pool.release(state);
     }
 
     #[test]

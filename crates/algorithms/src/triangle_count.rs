@@ -20,31 +20,8 @@
 
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
-use graphmat_core::{
-    run_graph_program, EdgeDirection, Graph, GraphBuildOptions, GraphProgram, RunOptions, Session,
-    Topology, VertexId, VertexState,
-};
+use graphmat_core::{EdgeDirection, GraphProgram, Session, Topology, VertexId, VertexState};
 use graphmat_io::edgelist::EdgeList;
-
-/// Triangle counting parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct TriangleCountConfig {
-    /// If `true` (default) the input is symmetrized and reduced to its upper
-    /// triangle first, as the paper prescribes. Set to `false` only if the
-    /// input is already a DAG with `dst > src` for every edge.
-    pub preprocess: bool,
-    /// Graph construction options.
-    pub build: GraphBuildOptions,
-}
-
-impl Default for TriangleCountConfig {
-    fn default() -> Self {
-        TriangleCountConfig {
-            preprocess: true,
-            build: GraphBuildOptions::default().with_in_edges(false),
-        }
-    }
-}
 
 /// Per-vertex triangle-counting state.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -161,47 +138,11 @@ fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
     count
 }
 
-/// Count triangles. Returns the total count and the per-vertex counts.
-/// Accepts any edge value type — triangles depend only on the structure.
-pub fn triangle_count<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    config: &TriangleCountConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<u64> {
-    let dag;
-    let edges = if config.preprocess {
-        dag = edges.to_dag();
-        &dag
-    } else {
-        edges
-    };
-
-    let mut graph: Graph<TriangleVertex, E> = Graph::from_edge_list(edges, config.build);
-
-    // Phase 1: one superstep building the in-neighbour lists.
-    graph.set_all_active();
-    let phase1_opts = RunOptions {
-        max_iterations: Some(1),
-        ..*options
-    };
-    let phase1 = run_graph_program(&CollectNeighbors::<E>::default(), &mut graph, &phase1_opts);
-
-    // Phase 2: one superstep intersecting the lists.
-    graph.set_all_active();
-    let phase2 = run_graph_program(&CountTriangles::<E>::default(), &mut graph, &phase1_opts);
-
-    let stats = merge_phase_stats(phase1.stats, &phase2.stats);
-
-    AlgorithmOutput {
-        values: graph.properties().iter().map(|p| p.triangles).collect(),
-        stats,
-        converged: true,
-    }
-}
-
-/// Count triangles over a pre-built shared topology through a [`Session`].
+/// Count triangles over a pre-built shared topology through a [`Session`];
+/// the output holds the per-vertex counts (see [`total_triangles`]).
+/// Triangles depend only on the structure, so any edge value type works.
 ///
-/// The serving-shape entry point. The topology must already be the strict
+/// The topology must already be the strict
 /// upper-triangle DAG the algorithm expects — build it from
 /// `edges.to_dag()` (`session.build_graph(&edges.to_dag()).in_edges(false)`
 /// `.finish()?`); no preprocessing happens here.
@@ -282,27 +223,34 @@ pub fn triangle_count_reference<E: Clone>(edges: &EdgeList<E>) -> u64 {
 mod tests {
     use super::*;
 
+    /// Triangles of `el` (DAG-reduced as the paper prescribes) on `session`.
+    fn count_in<E: Clone + Send + Sync + 'static>(
+        session: &Session,
+        el: &EdgeList<E>,
+    ) -> AlgorithmOutput<u64> {
+        let topo = session
+            .build_graph(&el.to_dag())
+            .in_edges(false)
+            .finish()
+            .unwrap();
+        triangle_count_on(session, &topo).unwrap()
+    }
+
+    fn count(el: &EdgeList<()>) -> u64 {
+        total_triangles(&count_in(&Session::sequential(), el))
+    }
+
     #[test]
     fn single_triangle() {
         let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(total_triangles(&out), 1);
+        assert_eq!(count(&el), 1);
     }
 
     #[test]
     fn two_triangles_sharing_an_edge() {
         let el = EdgeList::from_pairs(4, vec![(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(total_triangles(&out), 2);
-        assert_eq!(total_triangles(&out), triangle_count_reference(&el));
+        assert_eq!(count(&el), 2);
+        assert_eq!(count(&el), triangle_count_reference(&el));
     }
 
     #[test]
@@ -313,36 +261,21 @@ mod tests {
                 pairs.push((i, j));
             }
         }
-        let el = EdgeList::from_pairs(5, pairs);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(total_triangles(&out), 10); // C(5,3)
+        assert_eq!(count(&EdgeList::from_pairs(5, pairs)), 10); // C(5,3)
     }
 
     #[test]
     fn triangle_free_graph() {
         // a star has no triangles
         let el = EdgeList::from_pairs(5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(total_triangles(&out), 0);
+        assert_eq!(count(&el), 0);
     }
 
     #[test]
     fn direction_of_input_edges_does_not_matter() {
         let a = EdgeList::from_pairs(3, vec![(0, 1), (1, 2), (2, 0)]);
         let b = EdgeList::from_pairs(3, vec![(1, 0), (2, 1), (0, 2)]);
-        let cfg = TriangleCountConfig::default();
-        assert_eq!(
-            total_triangles(&triangle_count(&a, &cfg, &RunOptions::sequential())),
-            total_triangles(&triangle_count(&b, &cfg, &RunOptions::sequential())),
-        );
+        assert_eq!(count(&a), count(&b));
     }
 
     #[test]
@@ -350,11 +283,7 @@ mod tests {
         let el = graphmat_io::rmat::generate(
             &graphmat_io::rmat::RmatConfig::triangle_counting(8).with_seed(31),
         );
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::default().with_threads(4),
-        );
+        let out = count_in(&Session::with_threads(4).unwrap(), &el);
         assert_eq!(total_triangles(&out), triangle_count_reference(&el));
         assert!(
             total_triangles(&out) > 0,
@@ -363,39 +292,19 @@ mod tests {
     }
 
     #[test]
-    fn session_driver_matches_facade_on_rmat() {
-        let el = graphmat_io::rmat::generate(
-            &graphmat_io::rmat::RmatConfig::triangle_counting(7).with_seed(5),
-        );
-        let session = Session::sequential();
-        let topo = session
-            .build_graph(&el.to_dag())
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let on = triangle_count_on(&session, &topo).unwrap();
-        let facade = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(on.values, facade.values);
-        assert_eq!(total_triangles(&on), triangle_count_reference(&el));
-    }
-
-    #[test]
     fn phase_stats_survive_suppressed_superstep_detail() {
         // With record_supersteps off the per-superstep log is empty; the
         // merged stats must still account for both phases' totals.
-        let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0)]);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions {
+        use graphmat_core::{RunOptions, SessionOptions};
+        let session = Session::new(SessionOptions::default().with_threads(1).with_run_defaults(
+            RunOptions {
                 record_supersteps: false,
-                ..RunOptions::sequential()
+                ..RunOptions::default()
             },
-        );
+        ))
+        .unwrap();
+        let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0)]);
+        let out = count_in(&session, &el);
         assert_eq!(total_triangles(&out), 1);
         assert_eq!(out.stats.iterations, 2);
         assert!(out.stats.edges_processed > 0);
@@ -405,11 +314,8 @@ mod tests {
     #[test]
     fn exactly_two_supersteps_of_work() {
         let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0)]);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
+        let out = count_in(&Session::sequential(), &el);
         assert_eq!(out.stats.iterations, 2);
+        assert_eq!(out.stats.supersteps.len(), 2);
     }
 }

@@ -1,12 +1,15 @@
 //! Shared machinery for the figure/table reproductions.
 
-use graphmat_algorithms::bfs::{bfs, BfsConfig};
-use graphmat_algorithms::collaborative_filtering::{collaborative_filtering, CfConfig};
-use graphmat_algorithms::pagerank::{pagerank, PageRankConfig};
-use graphmat_algorithms::sssp::{sssp, SsspConfig};
-use graphmat_algorithms::triangle_count::{triangle_count, TriangleCountConfig};
+use graphmat_algorithms::bfs::bfs_on;
+use graphmat_algorithms::collaborative_filtering::{collaborative_filtering_on, CfConfig};
+use graphmat_algorithms::pagerank::{pagerank_on, PageRankConfig};
+use graphmat_algorithms::sssp::sssp_on;
+use graphmat_algorithms::triangle_count::triangle_count_on;
 use graphmat_baselines::{comb, native, vertexpull, worklist, Framework};
-use graphmat_core::{GraphBuildOptions, RunOptions, SuperstepStats};
+use graphmat_core::{
+    GraphBuildOptions, RunOptions, RunStats, Session, SessionOptions, SuperstepStats, Topology,
+    VectorKind,
+};
 use graphmat_io::bipartite::RatingsGraph;
 use graphmat_io::datasets::{self, DatasetId, DatasetScale};
 use graphmat_io::edgelist::EdgeList;
@@ -130,16 +133,10 @@ pub fn run_graph_algorithm(
     let (seconds, counters, total, supersteps) = match framework {
         Framework::GraphMat => {
             // Paper-faithful configuration for the cross-framework figures:
-            // always-push (the paper's engine had no pull backend) over the
-            // legacy build defaults, which carry no pull mirrors. The
-            // direction-optimized engine is measured by the Figure 7 rows
-            // and by `run_graphmat_auto`.
-            run_graphmat(
-                algorithm,
-                edges,
-                GraphBuildOptions::default(),
-                RunOptions::default().with_threads(nthreads),
-            )
+            // the paper's always-push engine. The direction-optimized engine
+            // is measured by the Figure 7 rows and by `run_graphmat_auto`.
+            let (session, build) = paper_engine(nthreads);
+            measured(algorithm, graphmat_stats(algorithm, edges, &session, build))
         }
         Framework::Native => run_native(algorithm, edges, nthreads),
         Framework::CombBlasLike => run_comb(algorithm, edges, nthreads),
@@ -171,16 +168,19 @@ pub fn run_cf(
                 iterations: CF_ITERATIONS,
                 ..Default::default()
             };
-            let out = collaborative_filtering(
-                ratings,
+            let (session, build) = paper_engine(nthreads);
+            let stats = collaborative_filtering_on(
+                &session,
+                &build_topology(&session, &ratings.edges, build),
                 &cfg,
-                &RunOptions::default().with_threads(nthreads),
-            );
+            )
+            .expect("collaborative filtering runs on the ratings topology")
+            .stats;
             (
-                out.stats.to_cost_counters(CF_DIMS * 8),
-                out.stats.total_time,
-                out.stats.iterations.max(1),
-                out.stats.supersteps,
+                stats.to_cost_counters(CF_DIMS * 8),
+                stats.total_time,
+                stats.iterations.max(1),
+                stats.supersteps,
             )
         }
         Framework::Native => {
@@ -244,8 +244,8 @@ pub fn run_cf(
 }
 
 /// Run the direction-optimized engine configuration — `VectorKind::Auto`
-/// over a pull-enabled topology, the `Session` default — and label the
-/// dataset `"<name>+auto"` so JSON consumers can tell it apart from the
+/// over a pull-enabled topology, the defaults — and label the dataset
+/// `"<name>+auto"` so JSON consumers can tell it apart from the
 /// paper-faithful push run of [`run_graph_algorithm`]. Its superstep
 /// trajectory is where push→pull direction flips show up.
 pub fn run_graphmat_auto(
@@ -254,19 +254,12 @@ pub fn run_graphmat_auto(
     edges: &EdgeList,
     nthreads: usize,
 ) -> Measurement {
-    use graphmat_core::VectorKind;
-    let (seconds, counters, total, supersteps) = run_graphmat(
-        algorithm,
-        edges,
-        // Out-direction workloads only (PR/BFS/SSSP): no in-edge matrix,
-        // and the pull mirror of G^T the Auto selector switches to.
-        GraphBuildOptions::default()
-            .with_in_edges(false)
-            .with_pull_mirrors(true),
-        RunOptions::default()
-            .with_threads(nthreads)
-            .with_vector(VectorKind::Auto),
-    );
+    let session = session(nthreads, RunOptions::default());
+    // Out-direction workloads only (PR/BFS/SSSP): no in-edge matrix, and
+    // the default pull mirror of G^T the Auto selector switches to.
+    let build = GraphBuildOptions::default().with_in_edges(false);
+    let (seconds, counters, total, supersteps) =
+        measured(algorithm, graphmat_stats(algorithm, edges, &session, build));
     Measurement {
         framework: Framework::GraphMat,
         algorithm,
@@ -278,72 +271,99 @@ pub fn run_graphmat_auto(
     }
 }
 
-fn run_graphmat(
+/// A session of `threads` lanes whose runs default to `run_defaults` — the
+/// one route by which the figures' engine knobs (vector kind, dispatch)
+/// reach a GraphMat run.
+fn session(threads: usize, run_defaults: RunOptions) -> Session {
+    Session::new(
+        SessionOptions::default()
+            .with_threads(threads)
+            .with_run_defaults(run_defaults),
+    )
+    .expect("figure sessions have at least one lane and valid run defaults")
+}
+
+/// The paper's engine, stated explicitly: every superstep pushes
+/// (`VectorKind::Bitvector`) over a topology built without pull mirrors.
+fn paper_engine(threads: usize) -> (Session, GraphBuildOptions) {
+    (
+        session(
+            threads,
+            RunOptions::default().with_vector(VectorKind::Bitvector),
+        ),
+        GraphBuildOptions::default().with_pull_mirrors(false),
+    )
+}
+
+/// Build the shared topology a GraphMat row runs on.
+fn build_topology<E: Clone>(
+    session: &Session,
+    edges: &EdgeList<E>,
+    build: GraphBuildOptions,
+) -> std::sync::Arc<Topology<E>> {
+    session
+        .build_graph(edges)
+        .build_options(build)
+        .finish()
+        .expect("figure datasets have edges")
+}
+
+/// Run one graph algorithm through the session drivers. The matrix build is
+/// untimed; preprocessing happens here, as the paper prescribes: BFS runs on
+/// the symmetrized graph, triangle counting on its upper-triangle DAG.
+fn graphmat_stats(
     algorithm: Algorithm,
     edges: &EdgeList,
+    session: &Session,
     build: GraphBuildOptions,
-    options: RunOptions,
-) -> (f64, CostCounters, Duration, Vec<SuperstepStats>) {
-    match algorithm {
+) -> RunStats {
+    let stats = match algorithm {
         Algorithm::PageRank => {
             let cfg = PageRankConfig {
                 iterations: PR_ITERATIONS,
-                build,
                 ..Default::default()
             };
-            let out = pagerank(edges, &cfg, &options);
-            let total = out.stats.total_time;
-            (
-                total.as_secs_f64() / out.stats.iterations.max(1) as f64,
-                out.stats.to_cost_counters(12),
-                total,
-                out.stats.supersteps,
-            )
+            pagerank_on(session, &build_topology(session, edges, build), &cfg).map(|out| out.stats)
         }
-        Algorithm::Bfs => {
-            let cfg = BfsConfig {
-                build,
-                ..BfsConfig::from_root(0)
-            };
-            let out = bfs(edges, &cfg, &options);
-            let total = out.stats.total_time;
-            (
-                total.as_secs_f64(),
-                out.stats.to_cost_counters(4),
-                total,
-                out.stats.supersteps,
-            )
-        }
+        Algorithm::Bfs => bfs_on(
+            session,
+            &build_topology(session, &edges.symmetrized(), build),
+            0,
+        )
+        .map(|out| out.stats),
         Algorithm::TriangleCount => {
-            let cfg = TriangleCountConfig {
-                build,
-                ..Default::default()
-            };
-            let out = triangle_count(edges, &cfg, &options);
-            let total = out.stats.total_time;
-            (
-                total.as_secs_f64(),
-                out.stats.to_cost_counters(24),
-                total,
-                out.stats.supersteps,
-            )
+            triangle_count_on(session, &build_topology(session, &edges.to_dag(), build))
+                .map(|out| out.stats)
         }
         Algorithm::Sssp => {
-            let cfg = SsspConfig {
-                build,
-                ..SsspConfig::from_source(0)
-            };
-            let out = sssp(edges, &cfg, &options);
-            let total = out.stats.total_time;
-            (
-                total.as_secs_f64(),
-                out.stats.to_cost_counters(4),
-                total,
-                out.stats.supersteps,
-            )
+            sssp_on(session, &build_topology(session, edges, build), 0).map(|out| out.stats)
         }
         Algorithm::CollaborativeFiltering => unreachable!("handled by run_cf"),
-    }
+    };
+    stats.expect("GraphMat run over a figure dataset")
+}
+
+/// The figures' view of a GraphMat run: reported seconds (per iteration for
+/// PR), Figure 6 cost counters, total time and the superstep trajectory.
+fn measured(
+    algorithm: Algorithm,
+    stats: RunStats,
+) -> (f64, CostCounters, Duration, Vec<SuperstepStats>) {
+    let vertex_prop_bytes = match algorithm {
+        Algorithm::PageRank => 12,
+        Algorithm::TriangleCount => 24,
+        _ => 4,
+    };
+    (
+        per_iteration_seconds(
+            stats.total_time,
+            stats.iterations,
+            algorithm.per_iteration(),
+        ),
+        stats.to_cost_counters(vertex_prop_bytes),
+        stats.total_time,
+        stats.supersteps,
+    )
 }
 
 fn per_iteration_seconds(elapsed: Duration, iterations: usize, per_iter: bool) -> f64 {
@@ -733,10 +753,27 @@ pub fn figure7_configs(
     ]
 }
 
-/// Whether a Figure 7 configuration needs the pull mirrors built.
-pub fn figure7_needs_pull(vector: graphmat_core::VectorKind) -> bool {
-    use graphmat_core::VectorKind;
-    matches!(vector, VectorKind::Dense | VectorKind::Auto)
+/// The session and topology layout of one Figure 7 configuration: the
+/// dispatch and vector knobs reach the engine as the session's run
+/// defaults, the partition layout as the graph build options. Pull mirrors
+/// are built exactly for the vector kinds that can pull, so the
+/// paper-faithful push rows carry no extra build cost or memory.
+pub fn figure7_engine(
+    threads: usize,
+    dispatch: graphmat_core::DispatchMode,
+    vector: VectorKind,
+    partitions_per_thread: usize,
+    balanced: bool,
+) -> (Session, GraphBuildOptions) {
+    let run_defaults = RunOptions::default()
+        .with_dispatch(dispatch)
+        .with_vector(vector);
+    let build = GraphBuildOptions::default()
+        .with_partitions(partitions_per_thread * threads)
+        .with_balancing(balanced)
+        .with_in_edges(false)
+        .with_pull_mirrors(matches!(vector, VectorKind::Dense | VectorKind::Auto));
+    (session(threads, run_defaults), build)
 }
 
 /// Figure 7: cumulative effect of the paper's optimizations — plus the
@@ -753,38 +790,13 @@ pub fn figure7_ablation(
     let mut out = Vec::new();
     let mut naive_seconds = None;
     for (label, threads, dispatch, vector, ppt, balanced) in figure7_configs(nthreads) {
-        let build = GraphBuildOptions::default()
-            .with_partitions(ppt * threads)
-            .with_balancing(balanced)
-            .with_in_edges(false)
-            .with_pull_mirrors(figure7_needs_pull(vector));
-        let options = RunOptions::default()
-            .with_threads(threads)
-            .with_dispatch(dispatch)
-            .with_vector(vector);
-        let (seconds, stats) = match algorithm {
-            Algorithm::PageRank => {
-                let cfg = PageRankConfig {
-                    iterations: PR_ITERATIONS,
-                    build,
-                    ..Default::default()
-                };
-                let run = pagerank(edges, &cfg, &options);
-                (
-                    run.stats.total_time.as_secs_f64() / run.stats.iterations.max(1) as f64,
-                    run.stats,
-                )
-            }
-            Algorithm::Sssp => {
-                let cfg = SsspConfig {
-                    build,
-                    ..SsspConfig::from_source(0)
-                };
-                let run = sssp(edges, &cfg, &options);
-                (run.stats.total_time.as_secs_f64(), run.stats)
-            }
-            _ => unreachable!(),
-        };
+        let (session, build) = figure7_engine(threads, dispatch, vector, ppt, balanced);
+        let stats = graphmat_stats(algorithm, edges, &session, build);
+        let seconds = per_iteration_seconds(
+            stats.total_time,
+            stats.iterations,
+            algorithm.per_iteration(),
+        );
         let naive = *naive_seconds.get_or_insert(seconds);
         out.push(AblationStep {
             label,

@@ -17,7 +17,7 @@
 //!
 //! A superstep **reads** the immutable [`Topology`] (matrices + degrees) and
 //! the current [`VertexState`] (properties + active set), and **writes** only
-//! into the [`Workspace`]. Nothing here mutates the topology, which is what
+//! into the run's workspace. Nothing here mutates the topology, which is what
 //! makes one `Arc<Topology>` safe to share between concurrent runs — each
 //! run brings its own state and workspace.
 //!
@@ -27,12 +27,9 @@
 //! (§5.2.1). To honour that, all per-superstep buffers — the message vector,
 //! the reduced-output vector, the optional second output for
 //! [`EdgeDirection::Both`], the APPLY `updated` list and the next-active bit
-//! vector — live in a [`Workspace`] owned by the runner and are **cleared
-//! and reused** every iteration, never reallocated. [`superstep_into`] runs
-//! SEND + SpMV into that workspace and returns only scalar
-//! [`SuperstepMetrics`]; [`superstep`] is the convenience wrapper that
-//! allocates a one-shot workspace and hands back an owned
-//! [`SuperstepOutput`].
+//! vector — live in a workspace owned by the runner and are **cleared and
+//! reused** every iteration, never reallocated. One superstep runs SEND +
+//! SpMV into that workspace and returns only scalar metrics.
 //!
 //! # Parallel SEND
 //!
@@ -58,7 +55,7 @@
 //! the topology's CSR mirror, gathering messages by index — no sharded
 //! writers, no atomics, perfect write locality.
 //!
-//! [`VectorKind::Auto`] (the `Session` default) makes the choice per
+//! [`VectorKind::Auto`] (the default) makes the choice per
 //! superstep with [`choose_backend`], Beamer's rule: pull when the
 //! frontier's out-edges exceed `unexplored_edges / α` and the frontier is
 //! not tiny. Forced kinds pin the backend (`Bitvector`/`Sorted` → push,
@@ -132,27 +129,9 @@ pub fn choose_backend(
     }
 }
 
-/// The output of one superstep's SEND + SpMV phases (owned variant, produced
-/// by [`superstep`]; the runner's hot loop uses [`superstep_into`] instead).
-#[derive(Debug)]
-pub struct SuperstepOutput<R> {
-    /// Reduced values per destination vertex (the `y` of Algorithm 1).
-    pub reduced: SparseVector<R>,
-    /// Number of messages generated by SEND_MESSAGE.
-    pub messages_sent: usize,
-    /// Number of edges traversed by the SpMV.
-    pub edges_processed: u64,
-    /// Which SpMV backend ran (push, or pull when the frontier was dense).
-    pub backend: Backend,
-    /// Time spent building the message vector.
-    pub send_time: Duration,
-    /// Time spent in the SpMV.
-    pub spmv_time: Duration,
-}
-
 /// Scalar measurements of one superstep's SEND + SpMV phases; the reduced
 /// values themselves land in the [`Workspace`].
-pub struct SuperstepMetrics {
+pub(crate) struct SuperstepMetrics {
     /// Number of messages generated by SEND_MESSAGE.
     pub messages_sent: usize,
     /// Number of edges traversed by the SpMV.
@@ -191,7 +170,7 @@ enum MessageStore<M> {
 /// supersteps of a run — or across **runs**, when the workspace rides in a
 /// pooled [`VertexState`] via
 /// [`crate::session::RunBuilder::execute_with`].
-pub struct Workspace<P: GraphProgram> {
+pub(crate) struct Workspace<P: GraphProgram> {
     messages: MessageStore<P::Message>,
     pub(crate) reduced: SparseVector<P::Reduced>,
     /// Second SpMV target for [`EdgeDirection::Both`]; built lazily on first
@@ -205,7 +184,7 @@ pub struct Workspace<P: GraphProgram> {
 
 impl<P: GraphProgram> Workspace<P> {
     /// Allocate a workspace for a graph of `n` vertices.
-    pub fn new(n: usize, options: &RunOptions) -> Self {
+    pub(crate) fn new(n: usize, options: &RunOptions) -> Self {
         let messages = match options.vector {
             VectorKind::Bitvector => MessageStore::Bitvector(SparseVector::new(n)),
             VectorKind::Sorted => MessageStore::Sorted(SortedSparseVector::new(n)),
@@ -224,15 +203,10 @@ impl<P: GraphProgram> Workspace<P> {
         }
     }
 
-    /// The reduced values produced by the most recent superstep.
-    pub fn reduced(&self) -> &SparseVector<P::Reduced> {
-        &self.reduced
-    }
-
     /// Whether this workspace can serve a run over `n` vertices with the
     /// given options (used when recycling a cached workspace from a pooled
     /// [`VertexState`] — a mismatch means "allocate fresh", never an error).
-    pub fn is_compatible(&self, n: usize, options: &RunOptions) -> bool {
+    pub(crate) fn is_compatible(&self, n: usize, options: &RunOptions) -> bool {
         let kind_matches = matches!(
             (&self.messages, options.vector),
             (MessageStore::Bitvector(_), VectorKind::Bitvector)
@@ -244,47 +218,9 @@ impl<P: GraphProgram> Workspace<P> {
     }
 }
 
-/// Execute the SEND_MESSAGE and SpMV phases of one superstep into a fresh,
-/// one-shot workspace and return the owned output. Convenience API for tests
-/// and single-superstep callers; the runner's loop uses [`superstep_into`]
-/// with a persistent [`Workspace`].
-///
-/// # Errors
-///
-/// [`GraphMatError::MissingInMatrix`] /
-/// [`GraphMatError::MissingPullMirror`] when the topology lacks a matrix the
-/// program's direction or the selected backend needs (see
-/// [`superstep_into`]).
-pub fn superstep<P: GraphProgram>(
-    topology: &Topology<P::Edge>,
-    state: &VertexState<P::VertexProp>,
-    program: &P,
-    options: &RunOptions,
-    executor: &Executor,
-) -> Result<SuperstepOutput<P::Reduced>> {
-    let mut ws = Workspace::<P>::new(topology.num_vertices() as usize, options);
-    let metrics = superstep_into(
-        topology,
-        state,
-        program,
-        options,
-        executor,
-        state.active_count(),
-        0,
-        &mut ws,
-    )?;
-    Ok(SuperstepOutput {
-        reduced: ws.reduced,
-        messages_sent: metrics.messages_sent,
-        edges_processed: metrics.edges_processed,
-        backend: metrics.backend,
-        send_time: metrics.send_time,
-        spmv_time: metrics.spmv_time,
-    })
-}
-
-/// Execute the SEND_MESSAGE and SpMV phases of one superstep, reusing the
-/// buffers in `ws`. Allocation-free in the steady state.
+/// Execute the SEND_MESSAGE and SpMV phases of one superstep over a
+/// `(base ⊕ delta)` [`GraphView`], reusing the buffers in `ws`.
+/// Allocation-free in the steady state.
 ///
 /// `active_count` is the current number of active vertices — the caller (the
 /// runner's convergence check) already has it in hand, and passing it in
@@ -295,65 +231,21 @@ pub fn superstep<P: GraphProgram>(
 /// `explored_edges` is the number of edges already traversed by earlier
 /// supersteps of this run (the runner's cumulative
 /// `RunStats::edges_processed`); the [`VectorKind::Auto`] selector uses it
-/// to estimate the unexplored remainder. Callers not running `Auto` can pass
-/// `0` — the value is read by nothing else.
+/// to estimate the unexplored remainder.
 ///
-/// # Errors
+/// With no overlay the superstep runs the plain topology kernels; with a
+/// pending overlay the push SpMV runs the merged [`gspmv_overlay_into`]
+/// column walk and SEND accounts the **merged** degree arrays, so metrics
+/// describe the edited graph. [`VectorKind::Auto`] always selects the push
+/// backend while edits are pending — the pull mirrors describe the unedited
+/// base and are only refreshed by compaction.
 ///
-/// * [`GraphMatError::MissingInMatrix`] if the program scatters along
-///   in-edges (`In`/`Both`) but the topology was built with
-///   `build_in_edges = false`;
-/// * [`GraphMatError::MissingPullMirror`] if the workspace forces the pull
-///   backend (`VectorKind::Dense`) but the topology was built with
-///   `build_pull_mirrors = false`. (`Auto` silently pushes instead.)
-///
-/// Both are checked **before** any phase runs, so an error leaves the
-/// workspace's previous contents intact. The deprecated
-/// [`crate::graph::Graph`] facade is the only place these still surface as
-/// panics.
+/// The request has been validated by [`crate::session::RunBuilder`] before
+/// the run started (in-edge matrix and in-kernel overlay for `In`/`Both`
+/// programs, pull mirrors and no pending overlay for a forced
+/// [`VectorKind::Dense`]), so the matrix lookups below cannot fail.
 #[allow(clippy::too_many_arguments)]
-pub fn superstep_into<P: GraphProgram>(
-    topology: &Topology<P::Edge>,
-    state: &VertexState<P::VertexProp>,
-    program: &P,
-    options: &RunOptions,
-    executor: &Executor,
-    active_count: usize,
-    explored_edges: u64,
-    ws: &mut Workspace<P>,
-) -> Result<SuperstepMetrics> {
-    superstep_view_into(
-        GraphView::base(topology),
-        state,
-        program,
-        options,
-        executor,
-        active_count,
-        explored_edges,
-        ws,
-    )
-}
-
-/// [`superstep_into`] over a `(base ⊕ delta)` [`GraphView`] — the core every
-/// superstep entry point reduces to. With no overlay the behaviour (and the
-/// machine code path) is identical to the plain topology superstep; with a
-/// pending overlay the push SpMV runs the merged
-/// [`gspmv_overlay_into`] column walk and SEND accounts the **merged**
-/// degree arrays, so metrics describe the edited graph.
-///
-/// Overlay-specific semantics:
-///
-/// * [`VectorKind::Auto`] always selects the push backend while edits are
-///   pending — the pull mirrors describe the unedited base and are only
-///   refreshed by compaction;
-/// * a forced [`VectorKind::Dense`] run over a pending overlay is rejected
-///   with [`GraphMatError::InvalidParameter`] (checked before any phase
-///   runs);
-/// * an `In`/`Both` program additionally requires the overlay to have been
-///   compiled against the in matrix (the store always does this when the
-///   base has one).
-#[allow(clippy::too_many_arguments)]
-pub fn superstep_view_into<P: GraphProgram>(
+pub(crate) fn superstep_view_into<P: GraphProgram>(
     view: GraphView<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
@@ -384,16 +276,6 @@ pub fn superstep_view_into<P: GraphProgram>(
         n
     );
     let direction = program.direction();
-    if direction != EdgeDirection::Out {
-        if !topology.has_in_edges() {
-            return Err(GraphMatError::MissingInMatrix);
-        }
-        if view.has_overlay() && view.in_kernel_overlay().is_none() {
-            // The store compiles overlays against every matrix the base
-            // built, so this only trips on a hand-assembled mismatch.
-            return Err(GraphMatError::MissingInMatrix);
-        }
-    }
 
     // --- Backend selection (before SEND: the two backends fill different
     // message representations). Pending overlays pin the push backend: the
@@ -401,19 +283,7 @@ pub fn superstep_view_into<P: GraphProgram>(
     let overlay_pending = view.has_overlay();
     let backend = match &ws.messages {
         MessageStore::Bitvector(_) | MessageStore::Sorted(_) => Backend::Push,
-        MessageStore::Dense(_) => {
-            if overlay_pending {
-                return Err(GraphMatError::InvalidParameter(
-                    "VectorKind::Dense forces the pull backend, which cannot traverse a \
-                     snapshot with pending deltas; use Auto (or a push kind) until the \
-                     store compacts",
-                ));
-            }
-            if !topology.has_pull_mirrors() {
-                return Err(GraphMatError::MissingPullMirror);
-            }
-            Backend::Pull
-        }
+        MessageStore::Dense(_) => Backend::Pull,
         MessageStore::Auto { .. } => {
             if !overlay_pending && topology.has_pull_mirrors() {
                 let frontier_edges =
@@ -823,6 +693,10 @@ fn merge_scratch<P: GraphProgram>(
     }
 }
 
+// The lookups below cannot fail for a request `RunBuilder::validate`
+// accepted; they turn the topology's optional matrices into typed errors
+// rather than panics.
+
 fn in_matrix<E>(topology: &Topology<E>) -> Result<&PartitionedDcsc<E>> {
     topology.in_matrix().ok_or(GraphMatError::MissingInMatrix)
 }
@@ -834,11 +708,6 @@ fn out_pull_mirror<E>(topology: &Topology<E>) -> Result<&CsrMirror<E>> {
 }
 
 fn in_pull_mirror<E>(topology: &Topology<E>) -> Result<&CsrMirror<E>> {
-    // An In/Both program needs the in-edge matrix before a mirror of it can
-    // even exist; report the more fundamental problem first.
-    if topology.in_matrix().is_none() {
-        return Err(GraphMatError::MissingInMatrix);
-    }
     topology
         .in_pull_mirror()
         .ok_or(GraphMatError::MissingPullMirror)
@@ -946,7 +815,7 @@ fn run_pull_into<P>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Graph, GraphBuildOptions};
+    use crate::topology::GraphBuildOptions;
     use graphmat_io::edgelist::EdgeList;
 
     /// SSSP as in the paper's Figure 3 / appendix.
@@ -979,9 +848,9 @@ mod tests {
         }
     }
 
-    fn figure3_graph() -> Graph<f32> {
-        // Figure 3(a): A=0,B=1,C=2,D=3,E=4. Pull mirrors on, so the same
-        // graph serves the push and pull backend tests.
+    /// Figure 3(a): A=0,B=1,C=2,D=3,E=4, with the default pull mirrors so
+    /// the same graph serves the push and pull backend tests.
+    fn figure3_topology() -> Topology<f32> {
         let el = EdgeList::from_tuples(
             5,
             vec![
@@ -994,156 +863,130 @@ mod tests {
                 (4, 0, 4.0),
             ],
         );
-        Graph::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_partitions(2)
-                .with_pull_mirrors(true),
+        Topology::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2))
+    }
+
+    /// Figure 3 SSSP state: every distance infinite except A's, with the
+    /// given active set.
+    fn figure3_state(active: &[VertexId]) -> VertexState<f32> {
+        let mut state = VertexState::new(5);
+        state.set_all_properties(f32::MAX);
+        state.set_property(0, 0.0);
+        for &v in active {
+            state.set_active(v);
+        }
+        state
+    }
+
+    /// One superstep into a fresh workspace: its metrics and reduced output.
+    fn one_superstep<P: GraphProgram>(
+        topology: &Topology<P::Edge>,
+        state: &VertexState<P::VertexProp>,
+        program: &P,
+        options: &RunOptions,
+        executor: &Executor,
+    ) -> (SuperstepMetrics, Vec<(Index, P::Reduced)>) {
+        let mut ws = Workspace::<P>::new(topology.num_vertices() as usize, options);
+        let metrics = superstep_view_into(
+            GraphView::base(topology),
+            state,
+            program,
+            options,
+            executor,
+            state.active_count(),
+            0,
+            &mut ws,
         )
+        .unwrap();
+        (metrics, ws.reduced.to_entries())
+    }
+
+    /// [`RunOptions`] forcing one vector kind.
+    fn forced(kind: VectorKind) -> RunOptions {
+        RunOptions::default().with_vector(kind)
     }
 
     #[test]
     fn figure3_first_superstep() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        let out = superstep(
-            g.topology(),
-            g.state(),
+        let (out, reduced) = one_superstep(
+            &figure3_topology(),
+            &figure3_state(&[0]),
             &Sssp,
-            &RunOptions::sequential(),
+            &forced(VectorKind::Bitvector),
             &Executor::sequential(),
-        )
-        .unwrap();
+        );
         assert_eq!(out.messages_sent, 1);
         assert_eq!(out.edges_processed, 3);
         assert_eq!(out.backend, Backend::Push);
-        assert_eq!(out.reduced.to_entries(), vec![(1, 1.0), (2, 3.0), (3, 2.0)]);
+        assert_eq!(reduced, vec![(1, 1.0), (2, 3.0), (3, 2.0)]);
     }
 
     #[test]
     fn dispatch_modes_agree() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_all_active();
+        let topology = figure3_topology();
+        let state = figure3_state(&[0, 1, 2, 3, 4]);
         let executor = Executor::new(2);
-        let fast = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::default().with_dispatch(DispatchMode::Static),
-            &executor,
-        )
-        .unwrap();
-        let slow = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::default().with_dispatch(DispatchMode::Dynamic),
-            &executor,
-        )
-        .unwrap();
-        assert_eq!(fast.reduced.to_entries(), slow.reduced.to_entries());
+        let run = |kind: VectorKind, dispatch: DispatchMode| {
+            one_superstep(
+                &topology,
+                &state,
+                &Sssp,
+                &forced(kind).with_dispatch(dispatch),
+                &executor,
+            )
+        };
+        let (_, fast) = run(VectorKind::Bitvector, DispatchMode::Static);
+        let (_, slow) = run(VectorKind::Bitvector, DispatchMode::Dynamic);
+        assert_eq!(fast, slow);
 
         // The same ablation must hold on the pull backend.
-        let pull_fast = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::default()
-                .with_vector(VectorKind::Dense)
-                .with_dispatch(DispatchMode::Static),
-            &executor,
-        )
-        .unwrap();
-        let pull_slow = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::default()
-                .with_vector(VectorKind::Dense)
-                .with_dispatch(DispatchMode::Dynamic),
-            &executor,
-        )
-        .unwrap();
-        assert_eq!(pull_fast.backend, Backend::Pull);
-        assert_eq!(pull_fast.reduced.to_entries(), fast.reduced.to_entries());
-        assert_eq!(pull_slow.reduced.to_entries(), fast.reduced.to_entries());
+        let (pull, pull_fast) = run(VectorKind::Dense, DispatchMode::Static);
+        let (_, pull_slow) = run(VectorKind::Dense, DispatchMode::Dynamic);
+        assert_eq!(pull.backend, Backend::Pull);
+        assert_eq!(pull_fast, fast);
+        assert_eq!(pull_slow, fast);
     }
 
     #[test]
     fn vector_kinds_agree() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_all_active();
+        let topology = figure3_topology();
+        let state = figure3_state(&[0, 1, 2, 3, 4]);
         let executor = Executor::sequential();
-        let run = |kind: VectorKind| {
-            superstep(
-                g.topology(),
-                g.state(),
-                &Sssp,
-                &RunOptions::default().with_vector(kind),
-                &executor,
-            )
-            .unwrap()
-        };
-        let bitvec = run(VectorKind::Bitvector);
-        let sorted = run(VectorKind::Sorted);
-        let dense = run(VectorKind::Dense);
-        let auto = run(VectorKind::Auto);
-        assert_eq!(bitvec.reduced.to_entries(), sorted.reduced.to_entries());
-        assert_eq!(bitvec.reduced.to_entries(), dense.reduced.to_entries());
-        assert_eq!(bitvec.reduced.to_entries(), auto.reduced.to_entries());
+        let run =
+            |kind: VectorKind| one_superstep(&topology, &state, &Sssp, &forced(kind), &executor);
+        let (_, bitvec) = run(VectorKind::Bitvector);
+        let (_, sorted) = run(VectorKind::Sorted);
+        let (dense, dense_out) = run(VectorKind::Dense);
+        let (_, auto) = run(VectorKind::Auto);
+        assert_eq!(bitvec, sorted);
+        assert_eq!(bitvec, dense_out);
+        assert_eq!(bitvec, auto);
         assert_eq!(dense.backend, Backend::Pull);
-    }
-
-    #[test]
-    fn forced_dense_without_mirrors_is_an_error() {
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let mut g: Graph<f32> = Graph::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_pull_mirrors(false)
-                .with_partitions(1),
-        );
-        g.set_all_active();
-        let err = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::sequential().with_vector(VectorKind::Dense),
-            &Executor::sequential(),
-        )
-        .unwrap_err();
-        assert_eq!(err, crate::error::GraphMatError::MissingPullMirror);
     }
 
     #[test]
     fn auto_without_mirrors_degrades_to_push() {
         let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let mut g: Graph<f32> = Graph::from_edge_list(
+        let topology = Topology::from_edge_list(
             &el,
             GraphBuildOptions::default()
                 .with_pull_mirrors(false)
                 .with_partitions(1),
         );
-        g.set_all_properties(0.0);
-        g.set_all_active();
-        let out = superstep(
-            g.topology(),
-            g.state(),
+        let mut state: VertexState<f32> = VertexState::for_topology(&topology);
+        state.set_all_properties(0.0);
+        state.set_all_active();
+        let (out, reduced) = one_superstep(
+            &topology,
+            &state,
             &Sssp,
-            &RunOptions::sequential().with_vector(VectorKind::Auto),
+            &forced(VectorKind::Auto),
             &Executor::sequential(),
-        )
-        .unwrap();
+        );
         // A fully-dense frontier would normally pull; without mirrors the
         // selector must settle for push and still produce the right answer.
         assert_eq!(out.backend, Backend::Push);
-        assert_eq!(out.reduced.to_entries(), vec![(1, 1.0), (2, 1.0)]);
+        assert_eq!(reduced, vec![(1, 1.0), (2, 1.0)]);
     }
 
     #[test]
@@ -1162,38 +1005,37 @@ mod tests {
 
     #[test]
     fn workspace_reuse_across_supersteps_matches_fresh_outputs() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_all_active();
+        let topology = figure3_topology();
+        let state = figure3_state(&[0, 1, 2, 3, 4]);
         let options = RunOptions::default();
         let executor = Executor::new(2);
-        let mut ws = Workspace::<Sssp>::new(g.num_vertices() as usize, &options);
+        let mut ws = Workspace::<Sssp>::new(5, &options);
         for _ in 0..3 {
-            let fresh = superstep(g.topology(), g.state(), &Sssp, &options, &executor).unwrap();
-            let metrics = superstep_into(
-                g.topology(),
-                g.state(),
+            let (fresh, fresh_reduced) =
+                one_superstep(&topology, &state, &Sssp, &options, &executor);
+            let metrics = superstep_view_into(
+                GraphView::base(&topology),
+                &state,
                 &Sssp,
                 &options,
                 &executor,
-                g.active_count(),
+                state.active_count(),
                 0,
                 &mut ws,
             )
             .unwrap();
             assert_eq!(metrics.messages_sent, fresh.messages_sent);
             assert_eq!(metrics.edges_processed, fresh.edges_processed);
-            assert_eq!(ws.reduced().to_entries(), fresh.reduced.to_entries());
+            assert_eq!(ws.reduced.to_entries(), fresh_reduced);
         }
     }
 
     #[test]
     fn workspace_compatibility_checks_length_and_kind() {
-        let bitvec_opts = RunOptions::default();
-        let sorted_opts = RunOptions::default().with_vector(VectorKind::Sorted);
-        let dense_opts = RunOptions::default().with_vector(VectorKind::Dense);
-        let auto_opts = RunOptions::default().with_vector(VectorKind::Auto);
+        let bitvec_opts = forced(VectorKind::Bitvector);
+        let sorted_opts = forced(VectorKind::Sorted);
+        let dense_opts = forced(VectorKind::Dense);
+        let auto_opts = forced(VectorKind::Auto);
         let ws = Workspace::<Sssp>::new(16, &bitvec_opts);
         assert!(ws.is_compatible(16, &bitvec_opts));
         assert!(!ws.is_compatible(17, &bitvec_opts));
@@ -1241,108 +1083,73 @@ mod tests {
         }
     }
 
+    /// Run [`InDegreeLike`] once with every vertex of `el` active.
+    fn in_direction_superstep(
+        el: &EdgeList<f32>,
+        partitions: usize,
+    ) -> (SuperstepMetrics, Vec<(Index, u32)>) {
+        let topology =
+            Topology::from_edge_list(el, GraphBuildOptions::default().with_partitions(partitions));
+        let mut state: VertexState<u32> = VertexState::for_topology(&topology);
+        state.set_all_active();
+        one_superstep(
+            &topology,
+            &state,
+            &InDegreeLike,
+            &RunOptions::default(),
+            &Executor::sequential(),
+        )
+    }
+
     #[test]
     fn in_direction_counts_out_degrees() {
         // Scattering along in-edges delivers, to each vertex, one message per
         // out-edge it has (y = G·x with x = all ones).
-        let mut g: Graph<u32> = {
-            let el =
-                EdgeList::from_tuples(4, vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
-            Graph::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2))
-        };
-        g.set_all_active();
-        let out = superstep(
-            g.topology(),
-            g.state(),
-            &InDegreeLike,
-            &RunOptions::sequential(),
-            &Executor::sequential(),
-        )
-        .unwrap();
-        assert_eq!(out.reduced.get(0), Some(&2)); // vertex 0 has 2 out-edges
-        assert_eq!(out.reduced.get(1), Some(&1));
-        assert_eq!(out.reduced.get(2), Some(&1));
-        assert_eq!(out.reduced.get(3), None); // no out-edges
+        let el = EdgeList::from_tuples(4, vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
+        let (_, reduced) = in_direction_superstep(&el, 2);
+        // vertex 0 has 2 out-edges, vertices 1 and 2 one each, 3 none
+        assert_eq!(reduced, vec![(0, 2), (1, 1), (2, 1)]);
     }
 
     #[test]
     fn in_direction_counts_only_in_degrees_for_edges_processed() {
-        // Satellite bugfix: SEND must account only the degree array the
-        // direction requires. Vertex 0 here has 2 out-edges and 0 in-edges;
-        // an In-direction program sending from {0} therefore processes 0
-        // edges (the old code read both arrays and, for Out, still did two
-        // degree lookups per sender).
+        // SEND must account only the degree array the direction requires.
+        // Vertex 0 here has 2 out-edges and 0 in-edges; an In-direction
+        // program sending from every vertex processes exactly the in-degree
+        // total.
         let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]);
-        let mut g: Graph<u32> =
-            Graph::from_edge_list(&el, GraphBuildOptions::default().with_partitions(1));
-        g.set_all_active();
-        let out = superstep(
-            g.topology(),
-            g.state(),
-            &InDegreeLike,
-            &RunOptions::sequential(),
-            &Executor::sequential(),
-        )
-        .unwrap();
+        let (out, _) = in_direction_superstep(&el, 1);
         // in-degrees: v0=0, v1=1, v2=2 → total 3 edges for an In program
         assert_eq!(out.edges_processed, 3);
     }
 
     #[test]
-    fn in_direction_without_in_matrix_is_an_error_not_a_panic() {
-        // Satellite bugfix: the engine used to hit an `expect` here even
-        // though the runner's entry point returns Result — the missing
-        // matrix is now a typed error on every core path, before SEND does
-        // any work (only the deprecated Graph facade still panics).
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0)]);
-        let mut g: Graph<u32> = Graph::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_in_edges(false)
-                .with_partitions(1),
-        );
-        g.set_all_active();
-        let err = superstep(
-            g.topology(),
-            g.state(),
-            &InDegreeLike,
-            &RunOptions::sequential(),
-            &Executor::sequential(),
-        )
-        .unwrap_err();
-        assert_eq!(err, crate::error::GraphMatError::MissingInMatrix);
-    }
-
-    #[test]
     #[should_panic(expected = "used with a topology of")]
     fn mismatched_state_is_rejected_with_diagnostics_in_release_too() {
-        // A plain assert (not debug_assert): the split API makes this
-        // pairing expressible, and it must not surface as a bare
+        // A plain assert (not debug_assert): it guards the unsafe sharded
+        // writes, and a mismatched pairing must not surface as a bare
         // slice-index panic inside SEND.
-        let g = figure3_graph();
-        let wrong: crate::state::VertexState<f32> = crate::state::VertexState::new(3);
-        let _ = superstep(
-            g.topology(),
+        let wrong: VertexState<f32> = VertexState::new(3);
+        let _ = one_superstep(
+            &figure3_topology(),
             &wrong,
             &Sssp,
-            &RunOptions::sequential(),
+            &RunOptions::default(),
             &Executor::sequential(),
         );
     }
 
     #[test]
     fn inactive_graph_produces_no_work() {
-        let g = figure3_graph();
-        let out = superstep(
-            g.topology(),
-            g.state(),
+        let (out, reduced) = one_superstep(
+            &figure3_topology(),
+            &figure3_state(&[]),
             &Sssp,
-            &RunOptions::sequential(),
+            &RunOptions::default(),
             &Executor::sequential(),
-        )
-        .unwrap();
+        );
         assert_eq!(out.messages_sent, 0);
         assert_eq!(out.edges_processed, 0);
-        assert_eq!(out.reduced.nnz(), 0);
+        assert!(reduced.is_empty());
     }
 }

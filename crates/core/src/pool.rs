@@ -4,7 +4,7 @@
 //! `Arc<Topology>`, many independent queries — only stays allocation-free if
 //! the per-run mutable half is recycled too. A fresh [`VertexState`] per
 //! query allocates the property vector, the active bit vector *and* (on
-//! first use inside the engine) a full [`crate::engine::Workspace`]; at high
+//! first use inside the engine) a full engine workspace; at high
 //! query rates that is megabytes of allocator traffic per second for buffers
 //! whose sizes never change.
 //!

@@ -25,8 +25,9 @@
 //! # The `Edge` associated type
 //!
 //! [`GraphProgram::Edge`] selects the edge value type the program traverses:
-//! the graph passed to [`crate::runner::run_graph_program`] must be a
-//! `Graph<VertexProp, Edge>`, and its DCSC matrices store exactly that type.
+//! the topology a session runs it on must be a
+//! [`Topology<Edge>`](crate::topology::Topology), and its DCSC matrices
+//! store exactly that type.
 //! Two cases matter in practice:
 //!
 //! * **weighted programs** (`Edge = f32`, `u32`, …) read the value in

@@ -1,6 +1,6 @@
 //! The superstep loop (Algorithm 2) and the APPLY phase.
 //!
-//! [`run_program`] repeats SEND → SpMV → APPLY until no vertex changes
+//! `run_program_view` repeats SEND → SpMV → APPLY until no vertex changes
 //! state or the iteration limit is reached, following the bulk-synchronous
 //! parallel model: state written by APPLY becomes visible only in the next
 //! superstep (§4.1). After APPLY, exactly the vertices whose property changed
@@ -8,29 +8,27 @@
 //!
 //! # Topology / state split
 //!
-//! The loop reads an immutable [`Topology`] and mutates a caller-owned
-//! [`VertexState`] — nothing about the matrices changes during a run, so one
-//! `Arc<Topology>` can serve any number of concurrent [`run_program`] calls,
-//! each with its own state. Mismatched state lengths and missing in-edge
-//! matrices are reported as [`GraphMatError`]s before the first superstep.
+//! The loop reads an immutable [`Topology`](crate::topology::Topology)
+//! through a [`GraphView`] and mutates a caller-owned [`VertexState`] —
+//! nothing about the matrices changes during a run, so one `Arc<Topology>`
+//! can serve any number of concurrent runs, each with its own state. The
+//! loop is reached only through [`crate::session::RunBuilder`], which
+//! rejects every unrunnable request before the state is touched.
 //!
 //! # Execution resources
 //!
 //! One [`Executor`] (a persistent pool of parked worker threads) and one
-//! [`Workspace`] (message/output/work-list buffers) serve every superstep —
+//! workspace (message/output/work-list buffers) serve every superstep —
 //! the loop itself spawns no threads and allocates nothing in the steady
-//! state. The [`crate::session::Session`] frontend owns a process-lifetime
-//! executor and recycles workspaces through pooled states; the legacy
-//! [`run_graph_program`] facade builds both per call.
+//! state. The [`crate::session::Session`] owns a process-lifetime executor
+//! and recycles workspaces through pooled states.
 
 use crate::engine::{superstep_view_into, Workspace, PARALLEL_PHASE_MIN_WORK};
 use crate::error::{GraphMatError, Result};
-use crate::graph::Graph;
-use crate::options::{ActivityPolicy, RunOptions, VectorKind};
-use crate::program::{EdgeDirection, GraphProgram};
+use crate::options::{ActivityPolicy, RunOptions};
+use crate::program::GraphProgram;
 use crate::state::VertexState;
 use crate::stats::{RunStats, SuperstepStats};
-use crate::topology::Topology;
 use crate::view::GraphView;
 use graphmat_sparse::parallel::{chunks, Executor};
 use graphmat_sparse::spvec::MessageVector;
@@ -47,61 +45,21 @@ pub struct RunResult {
     pub converged: bool,
 }
 
-/// Run a vertex program over an immutable topology and a caller-owned
-/// mutable state, reusing a caller-owned workspace.
+/// Run a vertex program over a `(base ⊕ delta)` [`GraphView`] and a
+/// caller-owned mutable state, reusing a caller-owned workspace. The state's
+/// current vertex properties and active set are the program's initial state;
+/// on return the state holds the final properties.
 ///
-/// This is the core entry point the `Session` frontend and the legacy
-/// facades both reduce to. The state's current vertex properties and active
-/// set are the program's initial state; on return the state holds the final
-/// properties.
-///
-/// # Errors
-///
-/// * [`GraphMatError::StateLengthMismatch`] if `state` was allocated for a
-///   different vertex count than `topology`;
-/// * [`GraphMatError::MissingInMatrix`] if the program scatters along
-///   in-edges (`In`/`Both`) but the topology was built with
-///   `build_in_edges = false`;
-/// * [`GraphMatError::MissingPullMirror`] if the options force the pull
-///   backend (`VectorKind::Dense`) but the topology was built with
-///   `build_pull_mirrors = false` (`VectorKind::Auto` instead degrades to
-///   always-push on such a topology).
-///
-/// All three are reported **before** the first superstep.
-pub fn run_program<P: GraphProgram>(
-    program: &P,
-    topology: &Topology<P::Edge>,
-    state: &mut VertexState<P::VertexProp>,
-    options: &RunOptions,
-    executor: &Executor,
-    ws: &mut Workspace<P>,
-) -> Result<RunResult> {
-    run_program_view(
-        program,
-        GraphView::base(topology),
-        state,
-        options,
-        executor,
-        ws,
-    )
-}
-
-/// [`run_program`] over a `(base ⊕ delta)` [`GraphView`] — what snapshot
-/// queries against a [`crate::store::GraphStore`] reduce to. A view without
-/// an overlay behaves exactly like [`run_program`]; a view with pending
+/// A view without an overlay runs the plain matrices; a view with pending
 /// edits runs every superstep through the overlay-aware push SpMV, with
 /// results bit-for-bit identical to a run over a topology rebuilt from the
 /// edited edge list.
 ///
-/// # Errors
-///
-/// Everything [`run_program`] reports, plus
-/// [`GraphMatError::InvalidParameter`] when the options force the pull
-/// backend (`VectorKind::Dense`) while edits are pending — the pull mirrors
-/// describe the unedited base, so that combination cannot run
-/// (`VectorKind::Auto` pushes instead). Reported **before** the first
-/// superstep.
-pub fn run_program_view<P: GraphProgram>(
+/// The caller ([`crate::session::RunBuilder`]) has already validated the
+/// request against the view, so the matrix lookups inside a superstep cannot
+/// fail; the one error a valid run raises is
+/// [`GraphMatError::DeadlineExceeded`], between supersteps.
+pub(crate) fn run_program_view<P: GraphProgram>(
     program: &P,
     view: GraphView<'_, P::Edge>,
     state: &mut VertexState<P::VertexProp>,
@@ -110,23 +68,6 @@ pub fn run_program_view<P: GraphProgram>(
     ws: &mut Workspace<P>,
 ) -> Result<RunResult> {
     let topology = view.topology();
-    state.check_matches(topology)?;
-    if program.direction() != EdgeDirection::Out && !topology.has_in_edges() {
-        return Err(GraphMatError::MissingInMatrix);
-    }
-    if options.vector == VectorKind::Dense {
-        if view.has_overlay() {
-            return Err(GraphMatError::InvalidParameter(
-                "VectorKind::Dense forces the pull backend, which cannot traverse a \
-                 snapshot with pending deltas; use Auto (or a push kind) until the \
-                 store compacts",
-            ));
-        }
-        if !topology.has_pull_mirrors() {
-            return Err(GraphMatError::MissingPullMirror);
-        }
-    }
-
     let mut stats = RunStats {
         matrix_bytes: topology.matrix_bytes(),
         nthreads: executor.nthreads(),
@@ -168,7 +109,7 @@ pub fn run_program_view<P: GraphProgram>(
             stats.edges_processed,
             ws,
         )?;
-        let vertices_updated = ws.reduced().nnz();
+        let vertices_updated = ws.reduced.nnz();
         let (apply_time, vertices_changed) = apply_phase(program, state, ws, executor);
 
         // Fixed-iteration algorithms (PageRank, gradient-descent CF) need
@@ -197,51 +138,6 @@ pub fn run_program_view<P: GraphProgram>(
     }
 
     Ok(RunResult { stats, converged })
-}
-
-/// Run a vertex program on a fused [`Graph`] until convergence or the
-/// iteration limit (legacy facade over [`run_program`]).
-///
-/// The graph's current vertex properties and active set are the program's
-/// initial state; algorithms are expected to set both before calling this
-/// (see the paper's appendix: set the source distance to 0 and mark it
-/// active). On return the graph holds the final vertex properties.
-///
-/// Builds one worker pool from `options` for the whole run; to reuse a pool
-/// across several runs, use [`run_graph_program_with`] or a
-/// [`crate::session::Session`]. Panics (with the [`GraphMatError`] message)
-/// where the session frontend would return an error. Note that the
-/// in-edge-matrix requirement is validated **eagerly**: an `In`/`Both`
-/// program on an out-only graph panics even if the empty active set or a
-/// zero iteration cap means no superstep would have touched the matrix
-/// (the pre-redesign loop only failed lazily, inside the first SpMV).
-pub fn run_graph_program<P: GraphProgram>(
-    program: &P,
-    graph: &mut Graph<P::VertexProp, P::Edge>,
-    options: &RunOptions,
-) -> RunResult {
-    let executor = options.executor();
-    run_graph_program_with(program, graph, options, &executor)
-}
-
-/// Like [`run_graph_program`], but on a caller-provided executor, so the
-/// worker pool can be shared across runs. `options.nthreads` is ignored in
-/// favour of the executor's lane count.
-pub fn run_graph_program_with<P: GraphProgram>(
-    program: &P,
-    graph: &mut Graph<P::VertexProp, P::Edge>,
-    options: &RunOptions,
-    executor: &Executor,
-) -> RunResult {
-    let (topology, state) = graph.parts_mut();
-    let mut ws = Workspace::<P>::new(topology.num_vertices() as usize, options);
-    match run_program(program, topology, state, options, executor, &mut ws) {
-        Ok(result) => result,
-        // audit:allow(no-unwrap): documented behaviour of this legacy facade
-        // (see the eager-validation note above); the fallible API is
-        // `run_program`.
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// APPLY the reduced values in the workspace, update the state's active set,
@@ -369,9 +265,8 @@ impl<V> SharedProps<V> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::graph::GraphBuildOptions;
-    use crate::program::{EdgeDirection, VertexId};
+    use crate::program::{GraphProgram, VertexId};
+    use crate::session::Session;
     use graphmat_io::edgelist::EdgeList;
 
     /// SSSP, as in the paper's appendix listing.
@@ -382,10 +277,6 @@ mod tests {
         type Message = f32;
         type Reduced = f32;
         type Edge = f32;
-
-        fn direction(&self) -> EdgeDirection {
-            EdgeDirection::Out
-        }
 
         fn send_message(&self, _v: VertexId, dist: &f32) -> Option<f32> {
             Some(*dist)
@@ -408,8 +299,8 @@ mod tests {
         }
     }
 
-    fn figure3_graph() -> Graph<f32> {
-        let el = EdgeList::from_tuples(
+    fn figure3_edges() -> EdgeList<f32> {
+        EdgeList::from_tuples(
             5,
             vec![
                 (0, 1, 1.0),
@@ -420,77 +311,69 @@ mod tests {
                 (3, 4, 2.0),
                 (4, 0, 4.0),
             ],
-        );
-        Graph::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2))
+        )
+    }
+
+    /// SSSP from vertex 0 over the Figure 3 graph, optionally capped.
+    fn figure3_sssp(session: &Session, cap: Option<usize>) -> crate::session::RunOutcome<f32> {
+        let topo = session
+            .build_graph(&figure3_edges())
+            .partitions(2)
+            .finish()
+            .unwrap();
+        let run = session
+            .run(&topo, Sssp)
+            .init_all(f32::MAX)
+            .seed_with(0, 0.0);
+        match cap {
+            Some(max) => run.max_iterations(max),
+            None => run,
+        }
+        .execute()
+        .unwrap()
     }
 
     #[test]
     fn sssp_converges_to_figure3_distances() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        let result = run_graph_program(&Sssp, &mut g, &RunOptions::sequential());
+        let result = figure3_sssp(&Session::sequential(), None);
         assert!(result.converged);
         // Final distances from A (paper Figure 3(d)): A=0, B=1, C=2, D=2, E=4
-        assert_eq!(*g.property(0), 0.0);
-        assert_eq!(*g.property(1), 1.0);
-        assert_eq!(*g.property(2), 2.0);
-        assert_eq!(*g.property(3), 2.0);
-        assert_eq!(*g.property(4), 4.0);
+        assert_eq!(result.values, vec![0.0, 1.0, 2.0, 2.0, 4.0]);
         assert!(result.stats.iterations >= 3);
     }
 
     #[test]
     fn iteration_limit_is_respected() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        let result = run_graph_program(
-            &Sssp,
-            &mut g,
-            &RunOptions::sequential().with_max_iterations(1),
-        );
+        let result = figure3_sssp(&Session::sequential(), Some(1));
         assert!(!result.converged);
         assert_eq!(result.stats.iterations, 1);
         // only A's direct neighbours have been relaxed
-        assert_eq!(*g.property(4), f32::MAX);
+        assert_eq!(result.values[4], f32::MAX);
     }
 
     #[test]
     fn empty_active_set_converges_immediately() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        let result = run_graph_program(&Sssp, &mut g, &RunOptions::default());
+        let session = Session::sequential();
+        let topo = session.build_graph(&figure3_edges()).finish().unwrap();
+        let result = session
+            .run(&topo, Sssp)
+            .init_all(f32::MAX)
+            .execute()
+            .unwrap();
         assert!(result.converged);
         assert_eq!(result.stats.iterations, 0);
     }
 
     #[test]
     fn parallel_and_sequential_agree() {
-        let mut g1 = figure3_graph();
-        g1.set_all_properties(f32::MAX);
-        g1.set_property(0, 0.0);
-        g1.set_active(0);
-        run_graph_program(&Sssp, &mut g1, &RunOptions::sequential());
-
-        let mut g2 = figure3_graph();
-        g2.set_all_properties(f32::MAX);
-        g2.set_property(0, 0.0);
-        g2.set_active(0);
-        run_graph_program(&Sssp, &mut g2, &RunOptions::default().with_threads(4));
-
-        assert_eq!(g1.properties(), g2.properties());
+        let sequential = figure3_sssp(&Session::sequential(), None);
+        let parallel = figure3_sssp(&Session::with_threads(4).unwrap(), None);
+        assert_eq!(sequential.values, parallel.values);
     }
 
     #[test]
     fn stats_capture_superstep_detail() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        let result = run_graph_program(&Sssp, &mut g, &RunOptions::sequential());
+        let result = figure3_sssp(&Session::sequential(), None);
         assert_eq!(result.stats.supersteps.len(), result.stats.iterations);
         assert_eq!(result.stats.nthreads, 1);
         let first = &result.stats.supersteps[0];
@@ -499,98 +382,6 @@ mod tests {
         assert_eq!(first.edges_processed, 3);
         assert_eq!(first.vertices_updated, 3);
         assert!(result.stats.edges_processed >= 3);
-    }
-
-    #[test]
-    fn run_with_shared_executor_matches_run_with_owned_pool() {
-        let executor = Executor::new(4);
-        let options = RunOptions::default().with_threads(4);
-        let run_shared = |ex: &Executor| {
-            let mut g = figure3_graph();
-            g.set_all_properties(f32::MAX);
-            g.set_property(0, 0.0);
-            g.set_active(0);
-            run_graph_program_with(&Sssp, &mut g, &options, ex);
-            g.properties().to_vec()
-        };
-        // The same executor serves several runs.
-        let first = run_shared(&executor);
-        let second = run_shared(&executor);
-        assert_eq!(first, second);
-
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        run_graph_program(&Sssp, &mut g, &options);
-        assert_eq!(first, g.properties().to_vec());
-    }
-
-    #[test]
-    fn run_program_rejects_mismatched_state() {
-        let g = figure3_graph();
-        let (topology, _) = g.into_parts();
-        let mut wrong: VertexState<f32> = VertexState::new(3);
-        let options = RunOptions::sequential();
-        let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize, &options);
-        let err = run_program(
-            &Sssp,
-            &topology,
-            &mut wrong,
-            &options,
-            &Executor::sequential(),
-            &mut ws,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            GraphMatError::StateLengthMismatch {
-                state_vertices: 3,
-                topology_vertices: 5
-            }
-        );
-    }
-
-    #[test]
-    fn run_program_rejects_missing_in_matrix_before_running() {
-        struct Inward;
-        impl GraphProgram for Inward {
-            type VertexProp = f32;
-            type Message = f32;
-            type Reduced = f32;
-            type Edge = f32;
-            fn direction(&self) -> EdgeDirection {
-                EdgeDirection::In
-            }
-            fn send_message(&self, _v: VertexId, d: &f32) -> Option<f32> {
-                Some(*d)
-            }
-            fn process_message(&self, m: &f32, _e: &f32, _d: &f32) -> f32 {
-                *m
-            }
-            fn reduce(&self, acc: &mut f32, v: f32) {
-                *acc += v;
-            }
-            fn apply(&self, r: &f32, p: &mut f32) {
-                *p = *r;
-            }
-        }
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0)]);
-        let topology =
-            Topology::from_edge_list(&el, GraphBuildOptions::default().with_in_edges(false));
-        let mut state: VertexState<f32> = VertexState::for_topology(&topology);
-        let options = RunOptions::sequential();
-        let mut ws = Workspace::<Inward>::new(3, &options);
-        let err = run_program(
-            &Inward,
-            &topology,
-            &mut state,
-            &options,
-            &Executor::sequential(),
-            &mut ws,
-        )
-        .unwrap_err();
-        assert_eq!(err, GraphMatError::MissingInMatrix);
     }
 
     /// PageRank-style program where every vertex is active every iteration;
@@ -624,20 +415,18 @@ mod tests {
     fn parallel_apply_matches_sequential_on_larger_graph() {
         use graphmat_io::rmat::{self, RmatConfig};
         let el = rmat::generate(&RmatConfig::graph500(10).with_seed(11));
-        let opts = GraphBuildOptions::default().with_partitions(16);
 
         let run = |threads: usize| {
-            let mut g: Graph<f64> = Graph::from_edge_list(&el, opts);
-            g.set_all_properties(1.0);
-            g.set_all_active();
-            run_graph_program(
-                &Rank,
-                &mut g,
-                &RunOptions::default()
-                    .with_threads(threads)
-                    .with_max_iterations(3),
-            );
-            g.properties().to_vec()
+            let session = Session::with_threads(threads).unwrap();
+            let topo = session.build_graph(&el).partitions(16).finish().unwrap();
+            session
+                .run(&topo, Rank)
+                .init_all(1.0)
+                .activate_all()
+                .max_iterations(3)
+                .execute()
+                .unwrap()
+                .values
         };
 
         let seq = run(1);
@@ -645,29 +434,5 @@ mod tests {
         for (a, b) in seq.iter().zip(par.iter()) {
             assert!((a - b).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn shared_topology_serves_two_states_without_cloning() {
-        use std::sync::Arc;
-        let g = figure3_graph();
-        let (topology, _) = g.into_parts();
-        let topology = Arc::new(topology);
-        let options = RunOptions::sequential();
-        let executor = Executor::sequential();
-
-        let run_from = |source: VertexId| {
-            let mut state: VertexState<f32> = VertexState::for_topology(&topology);
-            state.set_all_properties(f32::MAX);
-            state.set_property(source, 0.0);
-            state.set_active(source);
-            let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize, &options);
-            run_program(&Sssp, &topology, &mut state, &options, &executor, &mut ws).unwrap();
-            state.into_properties()
-        };
-
-        // Two different queries over the SAME topology instance.
-        assert_eq!(run_from(0), vec![0.0, 1.0, 2.0, 2.0, 4.0]);
-        assert_eq!(run_from(1), vec![9.0, 0.0, 1.0, 3.0, 5.0]);
     }
 }

@@ -20,14 +20,16 @@
 //!   the engine workspace cached inside the state — reruns allocate
 //!   nothing).
 //!
-//! Sessions run **direction-optimized** by default: the run defaults select
-//! [`VectorKind::Auto`], which picks the sparse push or dense pull SpMV
+//! Sessions run **direction-optimized** by default: [`RunOptions::default`]
+//! selects [`VectorKind::Auto`], which picks the sparse push or dense pull SpMV
 //! backend per superstep by frontier density (bit-for-bit identical results
 //! either way; see [`crate::engine::choose_backend`]). Force a backend with
 //! [`RunBuilder::vector`], tune the switch point with
 //! [`RunBuilder::pull_alpha`], or skip building the pull mirrors entirely
 //! with [`GraphBuilder::pull_enabled`]`(false)` (the mirrors cost roughly
-//! the adjacency matrices' memory again).
+//! the adjacency matrices' memory again). The paper's always-push engine is
+//! `pull_enabled(false)` plus `.vector(VectorKind::Bitvector)` — per run, or
+//! for every run through [`SessionOptions::run_defaults`].
 //!
 //! Every fallible step returns a [`GraphMatError`] instead of panicking:
 //! out-of-range seed vertices, zero threads, empty edge lists, mismatched
@@ -67,7 +69,7 @@
 use crate::engine::Workspace;
 use crate::error::{GraphMatError, Result};
 use crate::options::{ActivityPolicy, DispatchMode, RunOptions, VectorKind};
-use crate::program::{GraphProgram, VertexId};
+use crate::program::{EdgeDirection, GraphProgram, VertexId};
 use crate::runner::{run_program_view, RunResult};
 use crate::state::VertexState;
 use crate::stats::RunStats;
@@ -80,13 +82,12 @@ use std::sync::Arc;
 /// Options for creating a [`Session`].
 #[derive(Clone, Copy, Debug)]
 pub struct SessionOptions {
-    /// Number of executor lanes (worker pool size). Must be at least 1 —
-    /// unlike [`RunOptions::nthreads`] there is no "0 = auto" here; use
-    /// [`SessionOptions::default`] for all available hardware threads.
+    /// Number of executor lanes (worker pool size) — the one thread-count
+    /// knob. Must be at least 1; [`SessionOptions::default`] uses every
+    /// available hardware thread.
     pub threads: usize,
     /// Default run options applied to every [`RunBuilder`] (each builder can
-    /// override them per run). The `nthreads` field is ignored: the
-    /// session's pool decides the lane count.
+    /// override them per run).
     pub run_defaults: RunOptions,
 }
 
@@ -94,12 +95,7 @@ impl Default for SessionOptions {
     fn default() -> Self {
         SessionOptions {
             threads: available_threads(),
-            // Sessions default to the direction-optimized backend: push or
-            // pull is chosen per superstep, with results bit-for-bit
-            // identical to forced push. (`RunOptions::default()` itself
-            // stays `Bitvector` so the legacy facades keep reproducing the
-            // paper's always-push configuration.)
-            run_defaults: RunOptions::default().with_vector(VectorKind::Auto),
+            run_defaults: RunOptions::default(),
         }
     }
 }
@@ -140,12 +136,9 @@ impl Session {
             return Err(GraphMatError::ZeroThreads);
         }
         options.run_defaults.validate()?;
-        let mut defaults = options.run_defaults;
-        // The pool decides the lane count; keep the stored defaults honest.
-        defaults.nthreads = options.threads;
         Ok(Session {
             executor: Executor::new(options.threads),
-            defaults,
+            defaults: options.run_defaults,
         })
     }
 
@@ -160,12 +153,11 @@ impl Session {
     }
 
     /// A single-threaded session (no worker pool; everything runs inline on
-    /// the calling thread). Cannot fail. Like every session, defaults to
-    /// [`VectorKind::Auto`].
+    /// the calling thread). Cannot fail.
     pub fn sequential() -> Session {
         Session {
             executor: Executor::sequential(),
-            defaults: RunOptions::sequential().with_vector(VectorKind::Auto),
+            defaults: RunOptions::default(),
         }
     }
 
@@ -174,8 +166,8 @@ impl Session {
         self.executor.nthreads()
     }
 
-    /// The session's executor (for advanced callers driving
-    /// [`crate::runner::run_program`] directly while sharing the pool).
+    /// The session's executor, for callers that run their own parallel
+    /// kernels on the same worker pool.
     pub fn executor(&self) -> &Executor {
         &self.executor
     }
@@ -192,11 +184,7 @@ impl Session {
     pub fn build_graph<'e, E: Clone>(&self, edges: &'e EdgeList<E>) -> GraphBuilder<'e, E> {
         GraphBuilder {
             edges,
-            // Session runs default to VectorKind::Auto, so session-built
-            // topologies carry the pull mirrors Auto switches to (the
-            // legacy GraphBuildOptions::default() leaves them off, to match
-            // the legacy facades' always-push RunOptions::default()).
-            options: GraphBuildOptions::default().with_pull_mirrors(true),
+            options: GraphBuildOptions::default(),
             threads: self.nthreads(),
         }
     }
@@ -216,7 +204,7 @@ impl Session {
     /// [`crate::store::GraphStore`] snapshot. Identical to [`Session::run`]
     /// when the view carries no overlay; with pending edits the run uses the
     /// overlay-aware push backend (forcing [`VectorKind::Dense`] is rejected
-    /// at execute time, see [`crate::runner::run_program_view`]).
+    /// at execute time with [`GraphMatError::InvalidParameter`]).
     pub fn run_view<'s, 't, P: GraphProgram>(
         &'s self,
         view: GraphView<'t, P::Edge>,
@@ -283,11 +271,9 @@ impl<'e, E: Clone> GraphBuilder<'e, E> {
         self
     }
 
-    /// Override every construction option at once. Note this replaces the
-    /// builder's pull-mirror default too: `GraphBuildOptions::default()`
-    /// leaves the mirrors **off**, so follow up with
-    /// [`GraphBuilder::pull_enabled`]`(true)` if the direction-optimized
-    /// backend should stay available.
+    /// Override every construction option at once — the route for the
+    /// Figure 7 layout ablations (unbalanced partitions, explicit partition
+    /// counts).
     pub fn build_options(mut self, options: GraphBuildOptions) -> Self {
         self.options = options;
         self
@@ -459,9 +445,12 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     }
 
     /// Everything about this run that can be rejected without touching any
-    /// state: option validity, seed ranges, and the in-edge matrix the
-    /// program's direction requires. Runs **before** the first mutation so
-    /// a rejected run leaves a pooled state's previous contents intact.
+    /// state — the one place a run request is validated: option validity,
+    /// seed ranges, the in-edge matrix (and, over a pending overlay, the
+    /// in-edge kernel overlay) the program's direction requires, and the
+    /// pull mirrors a forced [`VectorKind::Dense`] needs. Runs **before**
+    /// the first mutation so a rejected run leaves a pooled state's previous
+    /// contents intact; the engine below relies on it.
     fn validate(&self) -> Result<()> {
         self.options.validate()?;
         for (v, _) in &self.seeds {
@@ -472,10 +461,15 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
                 });
             }
         }
-        if self.program.direction() != crate::program::EdgeDirection::Out
-            && !self.view.has_in_edges()
-        {
-            return Err(GraphMatError::MissingInMatrix);
+        if self.program.direction() != EdgeDirection::Out {
+            // The store compiles overlays against every matrix the base
+            // built, so the overlay half only trips on a hand-assembled
+            // `GraphView::new` mismatch.
+            let overlay_lacks_in =
+                self.view.has_overlay() && self.view.in_kernel_overlay().is_none();
+            if !self.view.has_in_edges() || overlay_lacks_in {
+                return Err(GraphMatError::MissingInMatrix);
+            }
         }
         if self.options.vector == VectorKind::Dense {
             if self.view.has_overlay() {
@@ -521,7 +515,10 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     /// [`GraphMatError::ZeroIterations`] for a `max_iterations(0)` request,
     /// [`GraphMatError::VertexOutOfRange`] for a seed outside the topology,
     /// [`GraphMatError::MissingInMatrix`] if the program needs in-edges the
-    /// topology does not have.
+    /// view does not have, [`GraphMatError::MissingPullMirror`] /
+    /// [`GraphMatError::InvalidParameter`] for a forced
+    /// [`VectorKind::Dense`] without mirrors / over pending edits, and
+    /// [`GraphMatError::DeadlineExceeded`] once the run's deadline passes.
     pub fn execute(self) -> Result<RunOutcome<P::VertexProp>>
     where
         P::VertexProp: Default,
@@ -590,7 +587,6 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::EdgeDirection;
 
     /// SSSP over f32 weights (the paper's appendix program).
     struct Sssp;
@@ -645,6 +641,7 @@ mod tests {
 
     #[test]
     fn sessions_default_to_direction_optimization() {
+        assert_eq!(RunOptions::default().vector, VectorKind::Auto);
         assert_eq!(
             SessionOptions::default().run_defaults.vector,
             VectorKind::Auto
@@ -657,8 +654,6 @@ mod tests {
             Session::with_threads(2).unwrap().run_defaults().vector,
             VectorKind::Auto
         );
-        // The legacy RunOptions default stays on the paper's always-push.
-        assert_eq!(RunOptions::default().vector, VectorKind::Bitvector);
     }
 
     #[test]
@@ -710,27 +705,6 @@ mod tests {
         assert_eq!(push, run(VectorKind::Sorted));
         assert_eq!(push, run(VectorKind::Dense));
         assert_eq!(push, run(VectorKind::Auto));
-    }
-
-    #[test]
-    fn invalid_pull_alpha_is_rejected_before_mutation() {
-        let session = Session::sequential();
-        let edges = figure3_edges();
-        let topo = session.build_graph(&edges).finish().unwrap();
-        let mut state: VertexState<f32> = VertexState::for_topology(&topo);
-        state.set_all_properties(9.0);
-        let err = session
-            .run(&*topo, Sssp)
-            .init_all(f32::MAX)
-            .seed_with(0, 0.0)
-            .pull_alpha(-3.0)
-            .execute_with(&mut state)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            GraphMatError::InvalidParameter("pull_alpha must be positive and finite")
-        );
-        assert!(state.properties().iter().all(|&p| p == 9.0));
     }
 
     #[test]
@@ -936,62 +910,135 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rejected_in_direction_run_leaves_a_pooled_state_untouched() {
-        let session = Session::sequential();
-        let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let mut state: VertexState<f32> = VertexState::for_topology(&topo);
-        state.set_all_properties(42.0);
-        state.set_active(2);
-        let err = session
-            .run(&*topo, Inward)
-            .init_all(0.0)
-            .activate_all()
-            .execute_with(&mut state)
-            .unwrap_err();
-        assert_eq!(err, GraphMatError::MissingInMatrix);
-        // The rejection happened before the first mutation.
-        assert!(state.properties().iter().all(|&p| p == 42.0));
-        assert_eq!(state.active_count(), 1);
-        assert!(state.is_active(2));
+    /// What every rejected-run case fills its pooled state with.
+    const SENTINEL: f32 = 42.0;
+
+    /// Assert `result` is the typed rejection `expected` and that `state`
+    /// still holds its sentinel contents: properties all [`SENTINEL`], only
+    /// vertex 2 active.
+    fn assert_rejected_untouched(
+        result: Result<RunResult>,
+        expected: GraphMatError,
+        state: &VertexState<f32>,
+    ) {
+        assert_eq!(result.unwrap_err(), expected);
+        assert!(
+            state.properties().iter().all(|&p| p == SENTINEL),
+            "{expected:?} overwrote properties"
+        );
+        assert_eq!(
+            state.active_count(),
+            1,
+            "{expected:?} touched the active set"
+        );
+        assert!(state.is_active(2), "{expected:?} touched the active set");
     }
 
     #[test]
-    fn rejected_seed_leaves_a_pooled_state_untouched() {
-        // A rejected run must not wipe the warm contents of a pooled state:
-        // validation happens before the first mutation.
+    fn every_rejected_run_leaves_a_pooled_state_untouched() {
+        use crate::store::{GraphStore, StoreOptions};
+        use graphmat_delta::{BaseFacts, DeltaBatch, DeltaOverlay, PairIndex, UpdateOp};
+
         let session = Session::sequential();
         let edges = figure3_edges();
-        let topo = session
+        let topo = session.build_graph(&edges).finish().unwrap();
+        let bare = session
             .build_graph(&edges)
             .in_edges(false)
+            .pull_enabled(false)
             .finish()
             .unwrap();
-        let mut state: VertexState<f32> = VertexState::for_topology(&topo);
-        state.set_all_properties(42.0);
-        state.set_active(3);
-        let err = session
-            .run(&*topo, Sssp)
-            .init_all(f32::MAX)
-            .seed_with(0, 0.0)
-            .seed_with(99, 0.0)
-            .execute_with(&mut state)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            GraphMatError::VertexOutOfRange {
-                vertex: 99,
-                num_vertices: 5
-            }
+        // A store snapshot with a pending edit…
+        let store = GraphStore::new(
+            Arc::clone(&topo),
+            StoreOptions {
+                compaction_threshold: usize::MAX,
+                background: false,
+                overload_watermark: usize::MAX,
+            },
         );
-        assert!(state.properties().iter().all(|&p| p == 42.0));
-        assert!(state.is_active(3));
-        assert_eq!(state.active_count(), 1);
+        let edit = vec![(1, 4, UpdateOp::Insert(1.0))];
+        let snapshot = store
+            .apply(DeltaBatch::from_ops(5, edit.clone()).unwrap())
+            .unwrap();
+        // …and a hand-assembled view whose overlay was compiled without the
+        // in-edge kernel, although the base has an in matrix.
+        let out_ranges = topo.out_partition_ranges();
+        let facts = BaseFacts {
+            num_vertices: 5,
+            num_edges: topo.num_edges(),
+            out_ranges: &out_ranges,
+            in_ranges: None,
+            out_degrees: topo.out_degrees(),
+            in_degrees: topo.in_degrees(),
+        };
+        let no_in_overlay =
+            DeltaOverlay::build(&facts, &PairIndex::from_edges(edges.edges()), &edit);
+        let no_in_view = GraphView::new(&topo, Some(&no_in_overlay));
+        assert!(no_in_view.has_overlay() && no_in_view.has_in_edges());
+
+        let mut state: VertexState<f32> = VertexState::for_topology(&topo);
+        state.set_all_properties(SENTINEL);
+        state.set_active(2);
+        // Every case asks for a mutating init, so a check that ran after
+        // `prepare` would show up as an overwritten state.
+        let sssp = |view| {
+            session
+                .run_view(view, Sssp)
+                .init_all(f32::MAX)
+                .seed_with(0, 0.0)
+        };
+        let inward = |view| session.run_view(view, Inward).init_all(0.0).activate_all();
+
+        let result = sssp(GraphView::base(&topo))
+            .max_iterations(0)
+            .execute_with(&mut state);
+        assert_rejected_untouched(result, GraphMatError::ZeroIterations, &state);
+
+        let result = sssp(GraphView::base(&topo))
+            .seed_with(99, 0.0)
+            .execute_with(&mut state);
+        let expected = GraphMatError::VertexOutOfRange {
+            vertex: 99,
+            num_vertices: 5,
+        };
+        assert_rejected_untouched(result, expected, &state);
+
+        let result = sssp(GraphView::base(&topo))
+            .pull_alpha(-3.0)
+            .execute_with(&mut state);
+        let expected = GraphMatError::InvalidParameter("pull_alpha must be positive and finite");
+        assert_rejected_untouched(result, expected, &state);
+
+        let result = inward(GraphView::base(&bare)).execute_with(&mut state);
+        assert_rejected_untouched(result, GraphMatError::MissingInMatrix, &state);
+
+        let result = sssp(GraphView::base(&bare))
+            .vector(VectorKind::Dense)
+            .execute_with(&mut state);
+        assert_rejected_untouched(result, GraphMatError::MissingPullMirror, &state);
+
+        let result = sssp(snapshot.view())
+            .vector(VectorKind::Dense)
+            .execute_with(&mut state);
+        let Err(pending @ GraphMatError::InvalidParameter(_)) = result.clone() else {
+            panic!("forced Dense over pending deltas: {result:?}");
+        };
+        assert_rejected_untouched(result, pending, &state);
+
+        let result = inward(no_in_view).execute_with(&mut state);
+        assert_rejected_untouched(result, GraphMatError::MissingInMatrix, &state);
+
+        // A state sized for another graph is rejected before it is touched.
+        let mut wrong: VertexState<f32> = VertexState::new(3);
+        wrong.set_all_properties(SENTINEL);
+        wrong.set_active(2);
+        let result = sssp(GraphView::base(&topo)).execute_with(&mut wrong);
+        let expected = GraphMatError::StateLengthMismatch {
+            state_vertices: 3,
+            topology_vertices: 5,
+        };
+        assert_rejected_untouched(result, expected, &wrong);
     }
 
     #[test]

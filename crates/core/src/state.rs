@@ -11,7 +11,7 @@
 //! A `VertexState` can be created fresh per query or **pooled**: keep one
 //! per worker and reuse it across runs through
 //! [`crate::session::RunBuilder::execute_with`], which also recycles the
-//! engine [`Workspace`](crate::engine::Workspace) cached inside the state —
+//! engine workspace cached inside the state —
 //! the second run of the same program type allocates nothing.
 //!
 //! All single-vertex accessors are bounds-checked with a descriptive

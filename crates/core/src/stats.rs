@@ -83,7 +83,7 @@ impl SuperstepStats {
     }
 }
 
-/// Statistics for a whole `run_graph_program` invocation.
+/// Statistics for one whole run of a vertex program.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
     /// Number of supersteps executed.
@@ -107,9 +107,8 @@ pub struct RunStats {
     /// Total messages generated.
     pub messages_sent: u64,
     /// Number of executor lanes the run used (the Figure 5 x-axis). The
-    /// lanes belong to a persistent worker pool created once per run — or
-    /// shared across runs via `run_graph_program_with` — never spawned
-    /// inside the superstep loop.
+    /// lanes belong to the session's persistent worker pool, shared across
+    /// runs — never spawned inside the superstep loop.
     pub nthreads: usize,
     /// In-memory footprint of the graph's adjacency matrices in bytes,
     /// including stored edge values (zero value bytes for `Edge = ()` — this

@@ -161,7 +161,7 @@ impl<E> GraphSnapshot<E> {
     }
 
     /// The `(base ⊕ delta)` view the engine traverses; pass it to
-    /// [`crate::runner::run_program_view`] or a session run's `.view(…)`.
+    /// [`crate::session::Session::run_view`] or an algorithm's view driver.
     pub fn view(&self) -> GraphView<'_, E> {
         GraphView::new(&self.base, self.overlay.as_deref())
     }

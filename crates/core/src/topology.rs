@@ -12,8 +12,7 @@
 //!   out-edges;
 //! * optionally the non-transposed `G` for in-edge scattering;
 //! * optionally row-major CSR **pull mirrors** of those matrices
-//!   (`build_pull_mirrors` — on by default when building through the
-//!   session's graph builder, off for the legacy facades), which the
+//!   (`build_pull_mirrors`, on by default), which the
 //!   direction-optimized engine traverses when a superstep's frontier is
 //!   dense enough to pull — they cost roughly the matrices' memory again
 //!   ([`Topology::pull_bytes`]);
@@ -54,12 +53,8 @@ pub struct GraphBuildOptions {
     /// Also materialize row-major CSR mirrors of the DCSC matrices so the
     /// engine can run the **dense pull** backend (direction optimization).
     /// Costs roughly the same memory again per mirrored matrix
-    /// ([`Topology::pull_bytes`] reports exactly how much). The default
-    /// matches the run defaults at each altitude: **off** here — the legacy
-    /// facades pair `GraphBuildOptions::default()` with the always-push
-    /// `RunOptions::default()`, which never reads a mirror — and **on** in
-    /// the session's graph builder, whose runs default to the
-    /// direction-optimized `VectorKind::Auto`
+    /// ([`Topology::pull_bytes`] reports exactly how much). On by default,
+    /// to match the direction-optimized `VectorKind::Auto` run default
     /// ([`crate::session::GraphBuilder::pull_enabled`]). Without mirrors,
     /// `Auto` degrades gracefully to always-push.
     pub build_pull_mirrors: bool,
@@ -72,7 +67,7 @@ impl Default for GraphBuildOptions {
             partition_factor: 8,
             balance_partitions: true,
             build_in_edges: true,
-            build_pull_mirrors: false,
+            build_pull_mirrors: true,
         }
     }
 }
@@ -97,8 +92,8 @@ impl GraphBuildOptions {
     }
 
     /// Enable or disable construction of the row-major CSR mirrors the pull
-    /// backend traverses (off by default here; the session's graph builder
-    /// turns them on — see [`GraphBuildOptions::build_pull_mirrors`]).
+    /// backend traverses (on by default — see
+    /// [`GraphBuildOptions::build_pull_mirrors`]).
     pub fn with_pull_mirrors(mut self, build: bool) -> Self {
         self.build_pull_mirrors = build;
         self
@@ -432,6 +427,58 @@ mod tests {
     }
 
     #[test]
+    fn transpose_orientation_is_correct() {
+        let t = small_topology();
+        // edge 0 -> 1 must appear in Gᵀ as (row=1, col=0)
+        assert!(t.out_matrix().iter().any(|(r, c, _)| r == 1 && c == 0));
+        // and in G as (row=0, col=1)
+        assert!(t
+            .in_matrix()
+            .unwrap()
+            .iter()
+            .any(|(r, c, _)| r == 0 && c == 1));
+    }
+
+    #[test]
+    fn default_partition_count_scales_with_threads() {
+        // a graph with plenty of rows so the balanced partitioner can hit the
+        // requested 8 × threads partition count
+        let n = 4096u32;
+        let el = EdgeList::from_pairs(n, (0..n - 1).map(|v| (v, v + 1)));
+        let t = Topology::from_edge_list(&el, GraphBuildOptions::default());
+        assert_eq!(t.num_partitions(), 8 * available_threads());
+    }
+
+    #[test]
+    fn unweighted_topology_sheds_edge_value_bytes() {
+        let weighted = small_topology();
+        let unweighted = Topology::from_edge_list(
+            &weighted.to_edge_list().topology(),
+            GraphBuildOptions::default().with_partitions(2),
+        );
+        assert_eq!(unweighted.num_edges(), weighted.num_edges());
+        // Two DCSC matrices and their two pull mirrors each drop exactly
+        // 4 bytes/edge of values.
+        assert_eq!(
+            weighted.matrix_bytes() - unweighted.matrix_bytes(),
+            4 * weighted.num_edges() * std::mem::size_of::<f32>(),
+        );
+    }
+
+    #[test]
+    fn unbalanced_partitioning_is_supported() {
+        let el = EdgeList::from_tuples(4, vec![(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]);
+        let t = Topology::from_edge_list(
+            &el,
+            GraphBuildOptions::default()
+                .with_partitions(4)
+                .with_balancing(false),
+        );
+        assert_eq!(t.num_partitions(), 4);
+        assert_eq!(t.out_matrix().nnz(), 3);
+    }
+
+    #[test]
     fn in_edges_can_be_skipped() {
         let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
         let t = Topology::from_edge_list(&el, GraphBuildOptions::default().with_in_edges(false));
@@ -442,12 +489,7 @@ mod tests {
     #[test]
     fn pull_mirrors_mirror_only_the_matrices_built() {
         let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let t = Topology::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_in_edges(false)
-                .with_pull_mirrors(true),
-        );
+        let t = Topology::from_edge_list(&el, GraphBuildOptions::default().with_in_edges(false));
         assert!(t.has_pull_mirrors());
         assert!(t.out_pull_mirror().is_some());
         assert!(t.in_pull_mirror().is_none());
@@ -465,12 +507,7 @@ mod tests {
                 (3, 0, 5.0),
             ],
         );
-        let t = Topology::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_partitions(2)
-                .with_pull_mirrors(true),
-        );
+        let t = Topology::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2));
         let out_mirror = t.out_pull_mirror().unwrap();
         let in_mirror = t.in_pull_mirror().unwrap();
         assert_eq!(out_mirror.nnz(), t.out_matrix().nnz());
@@ -512,11 +549,14 @@ mod tests {
     }
 
     #[test]
-    fn pull_mirrors_are_off_in_the_legacy_default() {
-        // GraphBuildOptions::default() pairs with the always-push
-        // RunOptions::default(); mirrors it could never read are not built.
+    fn pull_mirrors_are_on_by_default_and_can_be_skipped() {
+        // One default for every build path: the mirrors the default
+        // VectorKind::Auto switches to are built unless explicitly skipped.
         let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let t = Topology::from_edge_list(&el, GraphBuildOptions::default());
+        assert!(GraphBuildOptions::default().build_pull_mirrors);
+        assert!(Topology::from_edge_list(&el, GraphBuildOptions::default()).has_pull_mirrors());
+        let t =
+            Topology::from_edge_list(&el, GraphBuildOptions::default().with_pull_mirrors(false));
         assert!(!t.has_pull_mirrors());
         assert!(t.out_pull_mirror().is_none());
         assert!(t.in_pull_mirror().is_none());

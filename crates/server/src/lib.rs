@@ -12,7 +12,7 @@
 //!   checksums, typed error statuses;
 //! * [`service`] — [`service::GraphService`] (session + resident topology)
 //!   and [`service::WorkerStates`] (per-worker, per-algorithm
-//!   `StatePool`s), dispatching wire requests to the pooled `*_into`
+//!   `StatePool`s), dispatching wire requests to the pooled `*_view_into`
 //!   algorithm drivers so steady-state serving allocates nothing per query;
 //! * [`queue`] — the bounded admission queue: overload is an immediate
 //!   `Busy` rejection, not unbounded latency;

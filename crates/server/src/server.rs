@@ -602,10 +602,13 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
                 }
             }
             Request::Shutdown => {
+                // Close admission before acknowledging. Invariant: once a
+                // client holds the ack, no RUN is admitted — a straggler's
+                // push races only against the close, never against the ack.
+                shared.begin_shutdown();
                 resp.clear();
                 protocol::encode_ok_empty(&mut resp);
                 let _ = protocol::write_frame(&mut stream, &resp);
-                shared.begin_shutdown();
                 return;
             }
             Request::Run(run) => {

@@ -45,28 +45,15 @@
 //! and every fallible path (bad vertex id, empty edge list, missing in-edge
 //! matrix, zero threads) returns a typed [`core::error::GraphMatError`].
 //!
-//! ## Migrating from the fused `Graph` API
-//!
-//! The pre-session API (`Graph<V, E>` + `run_graph_program`) still works —
-//! `Graph` is now a thin facade over a `Topology` + one `VertexState` — but
-//! new code should use the builders:
-//!
-//! | old | new |
-//! |---|---|
-//! | `Graph::from_edge_list(&edges, opts)` | `session.build_graph(&edges).partitions(16).finish()?` |
-//! | `graph.set_all_properties(v)` | `.init_all(v)` on the run builder |
-//! | `graph.set_property(s, 0.0); graph.set_active(s)` | `.seed_with(s, 0.0)` |
-//! | `graph.set_all_active()` | `.activate_all()` |
-//! | `run_graph_program(&prog, &mut graph, &opts)` | `session.run(&topo, prog)…execute()?` |
-//! | `bfs(&edges, &cfg, &opts)` (rebuilds the matrix) | `bfs_on(&session, &topo, root)?` |
-//! | clone the `Graph` per concurrent run | share one `Arc<Topology>` |
-//!
-//! See [`core`] for the full migration table and
-//! `examples/quickstart.rs` for a complete session-based program.
+//! Every packaged algorithm has one pooled view driver (`bfs_view_into`,
+//! `pagerank_view_into`, …) that writes into a caller-owned `VertexState`,
+//! plus a `*_on` wrapper over it that returns fresh values, as above. See
+//! [`algorithms`] for the driver shapes and `examples/quickstart.rs` for a
+//! complete session-based program.
 //!
 //! ## Direction optimization (PR-4)
 //!
-//! Sessions run **direction-optimized** by default
+//! Runs are **direction-optimized** by default
 //! (`VectorKind::Auto`): each superstep executes either the paper's sparse
 //! *push* SpMV (column-wise over the DCSC) or the dense *pull* SpMV
 //! (row-parallel over a CSR mirror), chosen by Beamer's frontier-density
@@ -74,7 +61,9 @@
 //! Results are bit-for-bit identical across backends; the per-superstep
 //! choice is recorded in `SuperstepStats::backend`. Force a backend with
 //! `.vector(…)`, tune α with `.pull_alpha(…)`, and skip the mirrors'
-//! ~2× matrix memory with `.pull_enabled(false)` on the graph builder.
+//! ~2× matrix memory with `.pull_enabled(false)` on the graph builder
+//! (with `.vector(VectorKind::Bitvector)`, that is the paper's always-push
+//! engine).
 //!
 //! ## Edge-type genericity (PR-1)
 //!
@@ -116,31 +105,28 @@ pub use graphmat_sparse as sparse;
 
 /// Commonly used types for writing and running vertex programs.
 pub mod prelude {
-    pub use graphmat_algorithms::bfs::{bfs, bfs_on, bfs_view, BfsConfig};
+    pub use graphmat_algorithms::bfs::{bfs_on, bfs_view_into};
     pub use graphmat_algorithms::collaborative_filtering::{
-        collaborative_filtering, collaborative_filtering_on, rmse, CfConfig,
+        collaborative_filtering_on, rmse, CfConfig,
     };
     pub use graphmat_algorithms::connected_components::{
-        component_count, connected_components, connected_components_on, connected_components_view,
-        CcConfig,
+        component_count, connected_components_on, connected_components_view_into,
     };
-    pub use graphmat_algorithms::degree::{in_degrees, in_degrees_on, out_degrees, out_degrees_on};
+    pub use graphmat_algorithms::degree::{in_degrees_on, in_degrees_view_into, out_degrees_on};
     pub use graphmat_algorithms::delta_pagerank::{
-        delta_pagerank, delta_pagerank_into, delta_pagerank_on, delta_pagerank_view,
-        DeltaPageRankConfig, StreamingPageRank,
+        delta_pagerank_on, delta_pagerank_view, DeltaPageRankConfig, StreamingPageRank,
     };
-    pub use graphmat_algorithms::pagerank::{pagerank, pagerank_on, pagerank_view, PageRankConfig};
-    pub use graphmat_algorithms::sssp::{sssp, sssp_on, SsspConfig};
-    pub use graphmat_algorithms::triangle_count::{
-        total_triangles, triangle_count, triangle_count_on, TriangleCountConfig,
+    pub use graphmat_algorithms::pagerank::{
+        pagerank_on, pagerank_view_into, PageRankConfig, PageRankVertex,
     };
+    pub use graphmat_algorithms::sssp::{sssp_on, sssp_view_into};
+    pub use graphmat_algorithms::triangle_count::{total_triangles, triangle_count_on};
     pub use graphmat_algorithms::AlgorithmOutput;
     pub use graphmat_core::{
-        run_graph_program, run_program, run_program_view, ActivityPolicy, Backend, DispatchMode,
-        EdgeDirection, Graph, GraphBuildOptions, GraphMatError, GraphProgram, GraphSnapshot,
-        GraphStore, GraphView, RunOptions, RunOutcome, RunResult, RunStats, Session,
-        SessionOptions, StoreOptions, StoreStats, SuperstepStats, Topology, VectorKind, VertexId,
-        VertexState, DEFAULT_PULL_ALPHA,
+        ActivityPolicy, Backend, DispatchMode, EdgeDirection, GraphBuildOptions, GraphMatError,
+        GraphProgram, GraphSnapshot, GraphStore, GraphView, RunOptions, RunOutcome, RunResult,
+        RunStats, Session, SessionOptions, StatePool, StoreOptions, StoreStats, SuperstepStats,
+        Topology, VectorKind, VertexId, VertexState, DEFAULT_PULL_ALPHA,
     };
     pub use graphmat_delta::{DeltaBatch, DeltaError, UpdateOp};
     pub use graphmat_io::bipartite::BipartiteConfig;

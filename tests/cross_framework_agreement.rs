@@ -8,6 +8,7 @@ use graphmat::prelude::*;
 use graphmat_io::bipartite::{self, BipartiteConfig};
 use graphmat_io::datasets::{load, DatasetId, DatasetScale};
 use graphmat_io::grid::{self, GridConfig};
+use std::sync::Arc;
 
 fn social_graph() -> EdgeList {
     load(DatasetId::FacebookLike, DatasetScale::Tiny)
@@ -20,18 +21,29 @@ fn road_graph() -> EdgeList {
     })
 }
 
+/// `edges` as a topology of `session`, built with the defaults.
+fn build<E: Clone>(session: &Session, edges: &EdgeList<E>) -> Arc<Topology<E>> {
+    session.build_graph(edges).finish().unwrap()
+}
+
+/// GraphMat BFS from `root` over the symmetrized graph, as the paper runs it.
+fn graphmat_bfs<E: Clone + Send + Sync + 'static>(edges: &EdgeList<E>, root: VertexId) -> Vec<u32> {
+    let session = Session::with_defaults().unwrap();
+    bfs_on(&session, &build(&session, &edges.symmetrized()), root)
+        .unwrap()
+        .values
+}
+
 #[test]
 fn pagerank_all_engines_agree() {
     let edges = social_graph();
     let iterations = 8;
-    let gm = pagerank(
-        &edges,
-        &PageRankConfig {
-            iterations,
-            ..Default::default()
-        },
-        &RunOptions::default(),
-    );
+    let session = Session::with_defaults().unwrap();
+    let cfg = PageRankConfig {
+        iterations,
+        ..Default::default()
+    };
+    let gm = pagerank_on(&session, &build(&session, &edges), &cfg).unwrap();
     let nat = native::pagerank(&edges, 0.15, iterations, 0);
     let cb = comb::pagerank(&edges, 0.15, iterations, 0);
     let wl = worklist::pagerank(&edges, 0.15, iterations, 0);
@@ -70,12 +82,12 @@ fn pagerank_all_engines_agree() {
 fn bfs_all_engines_agree() {
     let edges = social_graph();
     let root = 3;
-    let gm = bfs(&edges, &BfsConfig::from_root(root), &RunOptions::default());
+    let gm = graphmat_bfs(&edges, root);
     let nat = native::bfs(&edges, root, 0);
     let cb = comb::bfs(&edges, root, 0);
     let gl = vertexpull::bfs(&edges, root, 0);
     let wl = worklist::bfs(&edges, root, 0);
-    assert_eq!(gm.values, nat.values);
+    assert_eq!(gm, nat.values);
     assert_eq!(cb.values, nat.values);
     assert_eq!(gl.values, nat.values);
     assert_eq!(wl.values, nat.values);
@@ -85,11 +97,8 @@ fn bfs_all_engines_agree() {
 fn sssp_all_engines_agree_on_road_network() {
     let edges = road_graph();
     let source = 0;
-    let gm = sssp(
-        &edges,
-        &SsspConfig::from_source(source),
-        &RunOptions::default(),
-    );
+    let session = Session::with_defaults().unwrap();
+    let gm = sssp_on(&session, &build(&session, &edges), source).unwrap();
     let nat = native::sssp(&edges, source, 0);
     let cb = comb::sssp(&edges, source, 0);
     let gl = vertexpull::sssp(&edges, source, 0);
@@ -114,11 +123,8 @@ fn sssp_all_engines_agree_on_road_network() {
 #[test]
 fn triangle_counts_agree_across_engines() {
     let edges = load(DatasetId::RmatTriangle, DatasetScale::Tiny);
-    let gm = triangle_count(
-        &edges,
-        &TriangleCountConfig::default(),
-        &RunOptions::default(),
-    );
+    let session = Session::with_defaults().unwrap();
+    let gm = triangle_count_on(&session, &build(&session, &edges.to_dag())).unwrap();
     let expected = native::triangle_count(&edges, 0).values.iter().sum::<u64>();
     assert_eq!(total_triangles(&gm), expected);
     assert_eq!(
@@ -155,7 +161,8 @@ fn collaborative_filtering_engines_agree() {
         iterations: 5,
         ..Default::default()
     };
-    let gm = collaborative_filtering(&ratings, &cfg, &RunOptions::default());
+    let session = Session::with_defaults().unwrap();
+    let gm = collaborative_filtering_on(&session, &build(&session, &ratings.edges), &cfg).unwrap();
     let nat = native::collaborative_filtering(&ratings, 6, cfg.lambda, cfg.gamma, 5, cfg.seed, 0);
     let cb = comb::collaborative_filtering(&ratings, 6, cfg.lambda, cfg.gamma, 5, cfg.seed, 0);
     let gl =
@@ -181,44 +188,33 @@ fn unweighted_bfs_agrees_across_every_baseline() {
     let weighted = social_graph();
     let edges: EdgeList<()> = weighted.topology();
     let root = 3;
-    let reference = bfs(
-        &weighted,
-        &BfsConfig::from_root(root),
-        &RunOptions::default(),
-    );
+    let reference = graphmat_bfs(&weighted, root);
 
-    let gm = bfs(&edges, &BfsConfig::from_root(root), &RunOptions::default());
+    let gm = graphmat_bfs(&edges, root);
     let nat = native::bfs(&edges, root, 0);
     let cb = comb::bfs(&edges, root, 0);
     let gl = vertexpull::bfs(&edges, root, 0);
     let wl = worklist::bfs(&edges, root, 0);
-    assert_eq!(gm.values, reference.values);
-    assert_eq!(nat.values, reference.values);
-    assert_eq!(cb.values, reference.values);
-    assert_eq!(gl.values, reference.values);
-    assert_eq!(wl.values, reference.values);
+    assert_eq!(gm, reference);
+    assert_eq!(nat.values, reference);
+    assert_eq!(cb.values, reference);
+    assert_eq!(gl.values, reference);
+    assert_eq!(wl.values, reference);
 }
 
 #[test]
 fn graphmat_is_deterministic_across_thread_counts() {
     let edges = social_graph();
     let run = |threads: usize| {
+        let session = Session::with_threads(threads).unwrap();
+        let topology = build(&session, &edges);
+        let cfg = PageRankConfig {
+            iterations: 5,
+            ..Default::default()
+        };
         (
-            pagerank(
-                &edges,
-                &PageRankConfig {
-                    iterations: 5,
-                    ..Default::default()
-                },
-                &RunOptions::default().with_threads(threads),
-            )
-            .values,
-            sssp(
-                &edges,
-                &SsspConfig::from_source(1),
-                &RunOptions::default().with_threads(threads),
-            )
-            .values,
+            pagerank_on(&session, &topology, &cfg).unwrap().values,
+            sssp_on(&session, &topology, 1).unwrap().values,
         )
     };
     let (pr1, ss1) = run(1);

@@ -62,6 +62,16 @@ impl GraphProgram for DirectedRelax {
     }
 }
 
+/// A session whose runs always push — the paper's engine.
+fn push_session(threads: usize) -> Session {
+    Session::new(
+        SessionOptions::default()
+            .with_threads(threads)
+            .with_run_defaults(RunOptions::default().with_vector(VectorKind::Bitvector)),
+    )
+    .unwrap()
+}
+
 fn test_graphs() -> Vec<(&'static str, EdgeList)> {
     vec![
         (
@@ -181,92 +191,67 @@ fn pagerank_selects_pull_on_every_superstep() {
         assert_eq!(s.frontier_density, 1.0);
     }
 
-    // Bit-for-bit against the legacy always-push facade on an identically
-    // built graph.
-    let push = pagerank(
-        &edges,
-        &cfg,
-        &RunOptions::default()
-            .with_threads(2)
-            .with_vector(VectorKind::Bitvector),
-    );
+    // Bit-for-bit against the always-push engine on the same graph.
+    let push = pagerank_on(&push_session(2), &topo, &cfg).unwrap();
     assert_eq!(auto.values, push.values);
     assert_eq!(push.stats.pull_supersteps, 0);
 }
 
-/// All eight packaged algorithms, run through session drivers (Auto) and
-/// compared bit-for-bit against their forced-push legacy facades — the
-/// acceptance bar of the direction-optimization PR.
+/// All eight packaged algorithms, run through their session drivers under
+/// `Auto` and under forced push on the same topologies, must agree
+/// bit-for-bit — the acceptance bar of the direction-optimization PR.
 #[test]
 fn all_algorithms_agree_between_auto_and_forced_push() {
     let edges = rmat::generate(&RmatConfig::graph500(8).with_seed(33));
-    let push_opts = RunOptions::default()
-        .with_threads(2)
-        .with_vector(VectorKind::Bitvector);
-    let session = Session::with_threads(2).unwrap();
+    let auto = Session::with_threads(2).unwrap();
+    let push = push_session(2);
+    macro_rules! agree {
+        ($name:literal, |$s:ident| $run:expr) => {{
+            let run = |$s: &Session| $run;
+            assert_eq!(run(&auto), run(&push), $name);
+        }};
+    }
 
-    // BFS / CC run on the symmetrized graph, like their facades do.
-    let sym_topo = session
+    // BFS / CC run on the symmetrized graph.
+    let sym_topo = auto
         .build_graph(&edges.symmetrized().topology())
         .finish()
         .unwrap();
-    assert_eq!(
-        bfs_on(&session, &sym_topo, 0).unwrap().values,
-        bfs(&edges.topology(), &BfsConfig::from_root(0), &push_opts).values,
-        "bfs"
-    );
-    assert_eq!(
-        connected_components_on(&session, &sym_topo).unwrap().values,
-        connected_components(&edges.topology(), &CcConfig::default(), &push_opts).values,
-        "connected components"
-    );
+    agree!("bfs", |s| bfs_on(s, &sym_topo, 0).unwrap().values);
+    agree!("connected components", |s| connected_components_on(
+        s, &sym_topo
+    )
+    .unwrap()
+    .values);
 
-    let topo = session.build_graph(&edges).finish().unwrap();
-    assert_eq!(
-        sssp_on(&session, &topo, 0).unwrap().values,
-        sssp(&edges, &SsspConfig::from_source(0), &push_opts).values,
-        "sssp"
-    );
-    assert_eq!(
-        pagerank_on(&session, &topo, &PageRankConfig::default())
-            .unwrap()
-            .values,
-        pagerank(&edges, &PageRankConfig::default(), &push_opts).values,
-        "pagerank"
-    );
-    assert_eq!(
-        delta_pagerank_on(&session, &topo, &DeltaPageRankConfig::default())
-            .unwrap()
-            .values,
-        delta_pagerank(&edges, &DeltaPageRankConfig::default(), &push_opts).values,
-        "delta pagerank"
-    );
-    assert_eq!(
-        in_degrees_on(&session, &topo).unwrap().values,
-        in_degrees(&edges, &push_opts).values,
-        "in-degrees"
-    );
-    assert_eq!(
-        out_degrees_on(&session, &topo).unwrap().values,
-        out_degrees(&edges, &push_opts).values,
-        "out-degrees"
-    );
+    let topo = auto.build_graph(&edges).finish().unwrap();
+    agree!("sssp", |s| sssp_on(s, &topo, 0).unwrap().values);
+    agree!("pagerank", |s| pagerank_on(
+        s,
+        &topo,
+        &PageRankConfig::default()
+    )
+    .unwrap()
+    .values);
+    agree!("delta pagerank", |s| delta_pagerank_on(
+        s,
+        &topo,
+        &DeltaPageRankConfig::default()
+    )
+    .unwrap()
+    .values);
+    agree!("in-degrees", |s| in_degrees_on(s, &topo).unwrap().values);
+    agree!("out-degrees", |s| out_degrees_on(s, &topo).unwrap().values);
 
     let tc_edges = rmat::generate(&RmatConfig::triangle_counting(7).with_seed(3));
-    let tc_topo = session
+    let tc_topo = auto
         .build_graph(&tc_edges.to_dag())
         .in_edges(false)
         .finish()
         .unwrap();
-    assert_eq!(
-        total_triangles(&triangle_count_on(&session, &tc_topo).unwrap()),
-        total_triangles(&triangle_count(
-            &tc_edges,
-            &TriangleCountConfig::default(),
-            &push_opts
-        )),
-        "triangle count"
-    );
+    agree!("triangle count", |s| triangle_count_on(s, &tc_topo)
+        .unwrap()
+        .values);
 
     let ratings =
         graphmat_io::bipartite::generate(&BipartiteConfig::netflix_like(64, 48, 600).with_seed(9));
@@ -275,10 +260,12 @@ fn all_algorithms_agree_between_auto_and_forced_push() {
         iterations: 3,
         ..Default::default()
     };
-    let cf_topo = session.build_graph(&ratings.edges).finish().unwrap();
-    let auto_cf = collaborative_filtering_on(&session, &cf_topo, &cf_cfg).unwrap();
-    let push_cf = collaborative_filtering(&ratings, &cf_cfg, &push_opts);
-    assert_eq!(auto_cf.values, push_cf.values, "collaborative filtering");
+    let cf_topo = auto.build_graph(&ratings.edges).finish().unwrap();
+    agree!("collaborative filtering", |s| collaborative_filtering_on(
+        s, &cf_topo, &cf_cfg
+    )
+    .unwrap()
+    .values);
 }
 
 /// Pooled states + workspace recycling across backend switches: rerunning

@@ -6,18 +6,29 @@
 use graphmat::prelude::*;
 use graphmat_io::datasets::{load, DatasetId, DatasetScale};
 use graphmat_io::uniform::{self, UniformConfig};
+use std::sync::Arc;
 
 fn weighted_graph() -> EdgeList {
     load(DatasetId::FacebookLike, DatasetScale::Tiny)
+}
+
+/// `edges` as an out-edge-only topology of `session`.
+fn build<E: Clone>(session: &Session, edges: &EdgeList<E>) -> Arc<Topology<E>> {
+    session.build_graph(edges).in_edges(false).finish().unwrap()
+}
+
+/// BFS from vertex 0 over the symmetrized `edges`.
+fn bfs_sym<E: Clone + Send + Sync + 'static>(edges: &EdgeList<E>) -> AlgorithmOutput<u32> {
+    let session = Session::with_defaults().unwrap();
+    bfs_on(&session, &build(&session, &edges.symmetrized()), 0).unwrap()
 }
 
 #[test]
 fn unweighted_bfs_matches_weighted_topology() {
     let weighted = weighted_graph();
     let unweighted: EdgeList<()> = weighted.topology();
-    let cfg = BfsConfig::from_root(0);
-    let a = bfs(&weighted, &cfg, &RunOptions::default());
-    let b = bfs(&unweighted, &cfg, &RunOptions::default());
+    let a = bfs_sym(&weighted);
+    let b = bfs_sym(&unweighted);
     assert_eq!(a.values, b.values);
     assert_eq!(a.stats.iterations, b.stats.iterations);
 }
@@ -26,8 +37,9 @@ fn unweighted_bfs_matches_weighted_topology() {
 fn unweighted_connected_components_match_weighted_topology() {
     let weighted = weighted_graph();
     let unweighted = weighted.topology();
-    let a = connected_components(&weighted, &CcConfig::default(), &RunOptions::default());
-    let b = connected_components(&unweighted, &CcConfig::default(), &RunOptions::default());
+    let session = Session::with_defaults().unwrap();
+    let a = connected_components_on(&session, &build(&session, &weighted.symmetrized())).unwrap();
+    let b = connected_components_on(&session, &build(&session, &unweighted.symmetrized())).unwrap();
     assert_eq!(a.values, b.values);
 }
 
@@ -35,13 +47,16 @@ fn unweighted_connected_components_match_weighted_topology() {
 fn unweighted_degrees_match_weighted_topology() {
     let weighted = weighted_graph();
     let unweighted = weighted.topology();
+    let session = Session::sequential();
+    let w = session.build_graph(&weighted).finish().unwrap();
+    let u = session.build_graph(&unweighted).finish().unwrap();
     assert_eq!(
-        in_degrees(&weighted, &RunOptions::sequential()).values,
-        in_degrees(&unweighted, &RunOptions::sequential()).values,
+        in_degrees_on(&session, &w).unwrap().values,
+        in_degrees_on(&session, &u).unwrap().values,
     );
     assert_eq!(
-        out_degrees(&weighted, &RunOptions::sequential()).values,
-        out_degrees(&unweighted, &RunOptions::sequential()).values,
+        out_degrees_on(&session, &w).unwrap().values,
+        out_degrees_on(&session, &u).unwrap().values,
     );
 }
 
@@ -49,9 +64,9 @@ fn unweighted_degrees_match_weighted_topology() {
 fn unweighted_triangle_count_matches_weighted_topology() {
     let weighted = load(DatasetId::RmatTriangle, DatasetScale::Tiny);
     let unweighted = weighted.topology();
-    let cfg = TriangleCountConfig::default();
-    let a = triangle_count(&weighted, &cfg, &RunOptions::default());
-    let b = triangle_count(&unweighted, &cfg, &RunOptions::default());
+    let session = Session::with_defaults().unwrap();
+    let a = triangle_count_on(&session, &build(&session, &weighted.to_dag())).unwrap();
+    let b = triangle_count_on(&session, &build(&session, &unweighted.to_dag())).unwrap();
     assert_eq!(a.values, b.values);
     assert!(total_triangles(&a) > 0);
 }
@@ -66,9 +81,9 @@ fn integer_weight_sssp_matches_f32() {
             .with_seed(4),
     );
     let u32_edges: EdgeList<u32> = f32_edges.map_values(|_, _, w| *w as u32);
-    let cfg = SsspConfig::from_source(7);
-    let from_f32 = sssp(&f32_edges, &cfg, &RunOptions::default().with_threads(4));
-    let from_u32 = sssp(&u32_edges, &cfg, &RunOptions::default().with_threads(4));
+    let session = Session::with_threads(4).unwrap();
+    let from_f32 = sssp_on(&session, &build(&session, &f32_edges), 7).unwrap();
+    let from_u32 = sssp_on(&session, &build(&session, &u32_edges), 7).unwrap();
     assert_eq!(from_f32.values, from_u32.values);
     let reference = graphmat_algorithms::sssp::sssp_reference(&u32_edges, 7);
     for (v, (a, b)) in from_u32.values.iter().zip(reference.iter()).enumerate() {
@@ -79,21 +94,10 @@ fn integer_weight_sssp_matches_f32() {
 #[test]
 fn unweighted_sssp_counts_hops() {
     // () edges read as weight 1, so SSSP on EdgeList<()> is BFS hop counting.
-    let edges = weighted_graph().symmetrized();
-    let hops = sssp(
-        &edges.topology(),
-        &SsspConfig::from_source(0),
-        &RunOptions::default(),
-    );
-    let levels = bfs(
-        &edges.topology(),
-        &BfsConfig {
-            root: 0,
-            symmetrize: false,
-            ..Default::default()
-        },
-        &RunOptions::default(),
-    );
+    let session = Session::with_defaults().unwrap();
+    let topo = build(&session, &weighted_graph().symmetrized().topology());
+    let hops = sssp_on(&session, &topo, 0).unwrap();
+    let levels = bfs_on(&session, &topo, 0).unwrap();
     for (v, (d, l)) in hops.values.iter().zip(levels.values.iter()).enumerate() {
         if *l == u32::MAX {
             assert_eq!(*d, f32::MAX, "vertex {v}");
@@ -107,13 +111,24 @@ fn unweighted_sssp_counts_hops() {
 fn unweighted_matrices_store_no_value_bytes() {
     let weighted = weighted_graph();
     let unweighted = weighted.topology();
-    let build = GraphBuildOptions::default().with_in_edges(false);
-    let gw: Graph<u32, f32> = Graph::from_edge_list(&weighted, build);
-    let gu: Graph<u32, ()> = Graph::from_edge_list(&unweighted, build);
-    assert_eq!(gw.num_edges(), gu.num_edges());
+    let session = Session::sequential();
+    // One DCSC matrix, no pull mirrors: the value bytes are the difference.
+    let tw = session
+        .build_graph(&weighted)
+        .in_edges(false)
+        .pull_enabled(false)
+        .finish()
+        .unwrap();
+    let tu = session
+        .build_graph(&unweighted)
+        .in_edges(false)
+        .pull_enabled(false)
+        .finish()
+        .unwrap();
+    assert_eq!(tw.num_edges(), tu.num_edges());
     assert_eq!(
-        gw.matrix_bytes() - gu.matrix_bytes(),
-        gw.num_edges() * std::mem::size_of::<f32>(),
+        tw.matrix_bytes() - tu.matrix_bytes(),
+        tw.num_edges() * std::mem::size_of::<f32>(),
         "the unweighted graph must shed exactly 4 bytes per edge"
     );
 }
@@ -122,9 +137,8 @@ fn unweighted_matrices_store_no_value_bytes() {
 fn run_stats_surface_the_memory_saving() {
     let weighted = weighted_graph();
     let unweighted = weighted.topology();
-    let cfg = BfsConfig::from_root(0);
-    let a = bfs(&weighted, &cfg, &RunOptions::default());
-    let b = bfs(&unweighted, &cfg, &RunOptions::default());
+    let a = bfs_sym(&weighted);
+    let b = bfs_sym(&unweighted);
     assert!(a.stats.matrix_bytes > b.stats.matrix_bytes);
     assert!(b.stats.matrix_bytes > 0);
 }
@@ -199,13 +213,15 @@ fn struct_valued_edges_flow_through_the_engine() {
             ), // effective 0.5
         ],
     );
-    let mut graph: Graph<f32, Road> =
-        Graph::from_edge_list(&edges, GraphBuildOptions::default().with_partitions(2));
-    graph.set_all_properties(f32::MAX);
-    graph.set_property(0, 0.0);
-    graph.set_active(0);
-    let result = run_graph_program(&RoadSssp, &mut graph, &RunOptions::sequential());
+    let session = Session::sequential();
+    let topo = session.build_graph(&edges).partitions(2).finish().unwrap();
+    let result = session
+        .run(&topo, RoadSssp)
+        .init_all(f32::MAX)
+        .seed_with(0, 0.0)
+        .execute()
+        .unwrap();
     assert!(result.converged);
-    assert_eq!(*graph.property(1), 2.0);
-    assert_eq!(*graph.property(2), 2.5); // 0->1->2 beats the direct wide road
+    assert_eq!(result.values[1], 2.0);
+    assert_eq!(result.values[2], 2.5); // 0->1->2 beats the direct wide road
 }

@@ -7,9 +7,9 @@
 //! concurrently running test can create executors and perturb the counter.
 
 use graphmat_core::program::{GraphProgram, VertexId};
-use graphmat_core::{ActivityPolicy, Graph, GraphBuildOptions, RunOptions};
+use graphmat_core::{ActivityPolicy, Session};
 use graphmat_io::rmat::{self, RmatConfig};
-use graphmat_sparse::parallel::{threads_spawned_total, Executor};
+use graphmat_sparse::parallel::threads_spawned_total;
 
 struct Rank;
 
@@ -42,7 +42,8 @@ fn superstep_loop_never_spawns_threads() {
     let nthreads = 4;
 
     let before_pool = threads_spawned_total();
-    let executor = Executor::new(nthreads);
+    let session = Session::with_threads(nthreads).unwrap();
+    let executor = session.executor();
     assert_eq!(
         executor.threads_spawned(),
         nthreads - 1,
@@ -54,15 +55,16 @@ fn superstep_loop_never_spawns_threads() {
     // old executor spawned (and joined) fresh OS threads for every SpMV,
     // SEND and APPLY dispatch — thousands of spawns for this workload.
     let before_run = threads_spawned_total();
-    let options = RunOptions::default()
-        .with_threads(nthreads)
-        .with_activity(ActivityPolicy::AlwaysAll)
-        .with_max_iterations(60);
     for _ in 0..2 {
-        let mut g: Graph<f64> = Graph::from_edge_list(&el, GraphBuildOptions::default());
-        g.set_all_properties(1.0);
-        g.set_all_active();
-        let result = graphmat_core::run_graph_program_with(&Rank, &mut g, &options, &executor);
+        let topo = session.build_graph(&el).finish().unwrap();
+        let result = session
+            .run(&topo, Rank)
+            .init_all(1.0)
+            .activate_all()
+            .activity(ActivityPolicy::AlwaysAll)
+            .max_iterations(60)
+            .execute()
+            .unwrap();
         assert_eq!(result.stats.iterations, 60);
     }
     assert_eq!(

@@ -10,8 +10,48 @@
 use graphmat::baselines::native;
 use graphmat::prelude::*;
 use graphmat_io::rng::StdRng;
+use std::sync::Arc;
 
 const CASES: u64 = 24;
+
+/// `edges` as a topology of `session`, built with the defaults.
+fn build<E: Clone>(session: &Session, edges: &EdgeList<E>) -> Arc<Topology<E>> {
+    session.build_graph(edges).finish().unwrap()
+}
+
+/// SSSP from vertex 0 on a sequential session.
+fn sssp_seq(edges: &EdgeList) -> Vec<f32> {
+    let session = Session::sequential();
+    sssp_on(&session, &build(&session, edges), 0)
+        .unwrap()
+        .values
+}
+
+/// BFS from vertex 0 over the symmetrized graph on a sequential session.
+fn bfs_seq<E: Clone + Send + Sync + 'static>(edges: &EdgeList<E>) -> Vec<u32> {
+    let session = Session::sequential();
+    bfs_on(&session, &build(&session, &edges.symmetrized()), 0)
+        .unwrap()
+        .values
+}
+
+/// Connected components of the symmetrized graph on a sequential session.
+fn components_seq<E: Clone + Send + Sync + 'static>(edges: &EdgeList<E>) -> Vec<u32> {
+    let session = Session::sequential();
+    connected_components_on(&session, &build(&session, &edges.symmetrized()))
+        .unwrap()
+        .values
+}
+
+/// Run a pooled view driver into a fresh state and return its properties.
+fn fresh<V: Clone + Default>(
+    n: VertexId,
+    run: impl FnOnce(&mut VertexState<V>) -> Result<RunResult, GraphMatError>,
+) -> Vec<V> {
+    let mut state = VertexState::new(n as usize);
+    run(&mut state).unwrap();
+    state.into_properties()
+}
 
 /// Random directed graph with `2..max_vertices` vertices and up to
 /// `max_edges` integer-weighted edges (self-loops removed).
@@ -37,14 +77,9 @@ fn arb_graph(seed: u64, max_vertices: u32, max_edges: usize) -> EdgeList {
 fn sssp_matches_dijkstra_on_random_graphs() {
     for case in 0..CASES {
         let edges = arb_graph(1000 + case, 60, 300);
-        let source = 0;
-        let gm = sssp(
-            &edges,
-            &SsspConfig::from_source(source),
-            &RunOptions::sequential(),
-        );
-        let reference = graphmat_algorithms::sssp::sssp_reference(&edges, source);
-        for (v, (a, b)) in gm.values.iter().zip(reference.iter()).enumerate() {
+        let gm = sssp_seq(&edges);
+        let reference = graphmat_algorithms::sssp::sssp_reference(&edges, 0);
+        for (v, (a, b)) in gm.iter().zip(reference.iter()).enumerate() {
             if *b == f32::MAX {
                 assert_eq!(*a, f32::MAX, "case {case} vertex {v}");
             } else {
@@ -58,11 +93,11 @@ fn sssp_matches_dijkstra_on_random_graphs() {
 fn bfs_distances_are_consistent_with_edges() {
     for case in 0..CASES {
         let edges = arb_graph(2000 + case, 60, 300);
-        let out = bfs(&edges, &BfsConfig::from_root(0), &RunOptions::sequential());
+        let out = bfs_seq(&edges);
         let sym = edges.symmetrized();
         // triangle inequality over every (undirected) edge: |d(u) - d(v)| <= 1
         for &(u, v, _) in sym.edges() {
-            let (du, dv) = (out.values[u as usize], out.values[v as usize]);
+            let (du, dv) = (out[u as usize], out[v as usize]);
             if du != u32::MAX && dv != u32::MAX {
                 assert!(
                     du.abs_diff(dv) <= 1,
@@ -73,7 +108,7 @@ fn bfs_distances_are_consistent_with_edges() {
                 assert_eq!(du, dv, "case {case} edge ({u},{v})");
             }
         }
-        assert_eq!(out.values[0], 0, "case {case}");
+        assert_eq!(out[0], 0, "case {case}");
     }
 }
 
@@ -81,11 +116,8 @@ fn bfs_distances_are_consistent_with_edges() {
 fn triangle_count_matches_bruteforce() {
     for case in 0..CASES {
         let edges = arb_graph(3000 + case, 40, 200);
-        let out = triangle_count(
-            &edges,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
+        let session = Session::sequential();
+        let out = triangle_count_on(&session, &build(&session, &edges.to_dag())).unwrap();
         let expected = graphmat_algorithms::triangle_count::triangle_count_reference(&edges);
         assert_eq!(total_triangles(&out), expected, "case {case}");
     }
@@ -95,10 +127,9 @@ fn triangle_count_matches_bruteforce() {
 fn connected_components_match_union_find() {
     for case in 0..CASES {
         let edges = arb_graph(4000 + case, 60, 200);
-        let out = connected_components(&edges, &CcConfig::default(), &RunOptions::sequential());
         let expected =
             graphmat_algorithms::connected_components::connected_components_reference(&edges);
-        assert_eq!(out.values, expected, "case {case}");
+        assert_eq!(components_seq(&edges), expected, "case {case}");
     }
 }
 
@@ -107,14 +138,12 @@ fn pagerank_matches_native_and_preserves_positivity() {
     for case in 0..CASES {
         let edges = arb_graph(5000 + case, 50, 250);
         let iterations = 6;
-        let gm = pagerank(
-            &edges,
-            &PageRankConfig {
-                iterations,
-                ..Default::default()
-            },
-            &RunOptions::sequential(),
-        );
+        let session = Session::sequential();
+        let cfg = PageRankConfig {
+            iterations,
+            ..Default::default()
+        };
+        let gm = pagerank_on(&session, &build(&session, &edges), &cfg).unwrap();
         let nat = native::pagerank(&edges, 0.15, iterations, 1);
         for v in 0..edges.num_vertices() as usize {
             assert!(gm.values[v] > 0.0, "case {case} vertex {v}");
@@ -133,8 +162,10 @@ fn pagerank_matches_native_and_preserves_positivity() {
 fn degree_programs_match_edge_list() {
     for case in 0..CASES {
         let edges = arb_graph(6000 + case, 50, 250);
-        let ins = in_degrees(&edges, &RunOptions::sequential());
-        let outs = out_degrees(&edges, &RunOptions::sequential());
+        let session = Session::sequential();
+        let topo = build(&session, &edges);
+        let ins = in_degrees_on(&session, &topo).unwrap();
+        let outs = out_degrees_on(&session, &topo).unwrap();
         let expect_in: Vec<u64> = edges.in_degrees().iter().map(|&d| d as u64).collect();
         let expect_out: Vec<u64> = edges.out_degrees().iter().map(|&d| d as u64).collect();
         assert_eq!(ins.values, expect_in, "case {case}");
@@ -146,17 +177,9 @@ fn degree_programs_match_edge_list() {
 fn parallel_run_equals_sequential_run() {
     for case in 0..CASES {
         let edges = arb_graph(7000 + case, 50, 250);
-        let seq = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::sequential(),
-        );
-        let par = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::default().with_threads(4),
-        );
-        assert_eq!(seq.values, par.values, "case {case}");
+        let par = Session::with_threads(4).unwrap();
+        let par = sssp_on(&par, &build(&par, &edges), 0).unwrap().values;
+        assert_eq!(sssp_seq(&edges), par, "case {case}");
     }
 }
 
@@ -164,44 +187,31 @@ fn parallel_run_equals_sequential_run() {
 fn dispatch_and_vector_ablations_do_not_change_results() {
     for case in 0..CASES {
         let edges = arb_graph(8000 + case, 40, 200);
-        let base = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::sequential(),
-        );
-        let dynamic = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::sequential().with_dispatch(DispatchMode::Dynamic),
-        );
-        let sorted = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::sequential().with_vector(VectorKind::Sorted),
-        );
-        // The pull/auto backends need the CSR mirrors, which the legacy
-        // build defaults leave off.
-        let pull_cfg = SsspConfig {
-            build: GraphBuildOptions::default().with_pull_mirrors(true),
-            ..SsspConfig::from_source(0)
+        // The ablation knobs reach the packaged driver through the
+        // session's run defaults.
+        let run = |vector: VectorKind, dispatch: DispatchMode| {
+            let defaults = RunOptions::default()
+                .with_vector(vector)
+                .with_dispatch(dispatch);
+            let session = Session::new(
+                SessionOptions::default()
+                    .with_threads(1)
+                    .with_run_defaults(defaults),
+            )
+            .unwrap();
+            sssp_on(&session, &build(&session, &edges), 0)
+                .unwrap()
+                .values
         };
-        let dense = sssp(
-            &edges,
-            &pull_cfg,
-            &RunOptions::sequential().with_vector(VectorKind::Dense),
-        );
-        let auto = sssp(
-            &edges,
-            &pull_cfg,
-            &RunOptions::sequential().with_vector(VectorKind::Auto),
-        );
-        assert_eq!(&base.values, &dynamic.values, "case {case}");
-        assert_eq!(&base.values, &sorted.values, "case {case}");
-        assert_eq!(&base.values, &dense.values, "case {case} (forced pull)");
-        assert_eq!(
-            &base.values, &auto.values,
-            "case {case} (direction-optimized)"
-        );
+        let base = run(VectorKind::Bitvector, DispatchMode::Static);
+        let dynamic = run(VectorKind::Bitvector, DispatchMode::Dynamic);
+        let sorted = run(VectorKind::Sorted, DispatchMode::Static);
+        let dense = run(VectorKind::Dense, DispatchMode::Static);
+        let auto = run(VectorKind::Auto, DispatchMode::Static);
+        assert_eq!(base, dynamic, "case {case}");
+        assert_eq!(base, sorted, "case {case}");
+        assert_eq!(base, dense, "case {case} (forced pull)");
+        assert_eq!(base, auto, "case {case} (direction-optimized)");
     }
 }
 
@@ -298,9 +308,10 @@ fn streaming_overlay_matches_rebuild_from_final_edge_list() {
             iterations: 6,
             ..Default::default()
         };
-        let pr_overlay = pagerank_view(&session, view, &pr_cfg).unwrap();
+        let pr_overlay = fresh(n, |s| pagerank_view_into(&session, view, &pr_cfg, None, s));
         let pr_scratch = pagerank_on(&session, &rebuilt, &pr_cfg).unwrap();
-        for (v, (a, b)) in pr_overlay.values.iter().zip(&pr_scratch.values).enumerate() {
+        for (v, (a, b)) in pr_overlay.iter().zip(&pr_scratch.values).enumerate() {
+            let a = &a.rank;
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
@@ -308,12 +319,14 @@ fn streaming_overlay_matches_rebuild_from_final_edge_list() {
             );
         }
         assert_eq!(
-            bfs_view(&session, view, 0).unwrap().values,
+            fresh(n, |s| bfs_view_into(&session, view, 0, None, s)),
             bfs_on(&session, &rebuilt, 0).unwrap().values,
             "case {case} bfs"
         );
         assert_eq!(
-            connected_components_view(&session, view).unwrap().values,
+            fresh(n, |s| connected_components_view_into(
+                &session, view, None, s
+            )),
             connected_components_on(&session, &rebuilt).unwrap().values,
             "case {case} components"
         );
@@ -327,14 +340,10 @@ fn unweighted_runs_agree_with_weighted_topology() {
     for case in 0..CASES {
         let edges = arb_graph(9000 + case, 50, 250);
         let topo = edges.topology();
+        assert_eq!(bfs_seq(&edges), bfs_seq(&topo), "case {case} bfs");
         assert_eq!(
-            bfs(&edges, &BfsConfig::from_root(0), &RunOptions::sequential()).values,
-            bfs(&topo, &BfsConfig::from_root(0), &RunOptions::sequential()).values,
-            "case {case} bfs"
-        );
-        assert_eq!(
-            connected_components(&edges, &CcConfig::default(), &RunOptions::sequential()).values,
-            connected_components(&topo, &CcConfig::default(), &RunOptions::sequential()).values,
+            components_seq(&edges),
+            components_seq(&topo),
             "case {case} cc"
         );
     }

@@ -4,9 +4,9 @@
 //! and every result matches the corresponding single-threaded-in-main run
 //! **bit for bit**.
 //!
-//! Before the split this was impossible: `run_graph_program` took
-//! `&mut Graph`, so two concurrent runs — even two read-only queries —
-//! needed two copies of the adjacency matrices.
+//! A container fusing the matrices with one run's state would need `&mut`
+//! access per run, so two concurrent runs — even two read-only queries —
+//! would need two copies of the adjacency matrices.
 
 use graphmat::prelude::*;
 use std::sync::Arc;
