@@ -55,7 +55,7 @@ impl Default for Config {
     fn default() -> Config {
         Config {
             kernel_prefixes: vec!["crates/sparse/src/".into()],
-            bin_crate_prefixes: vec!["crates/bench/".into()],
+            bin_crate_prefixes: vec!["crates/bench/".into(), "perfbench/".into()],
         }
     }
 }
@@ -250,6 +250,7 @@ mod tests {
         assert!(classify("crates/server/src/bin/server.rs", &config).exempt_from_lib_lints);
         assert!(classify("crates/io/examples/load.rs", &config).exempt_from_lib_lints);
         assert!(classify("crates/bench/src/figures.rs", &config).exempt_from_lib_lints);
+        assert!(classify("perfbench/src/serve.rs", &config).exempt_from_lib_lints);
     }
 
     #[test]

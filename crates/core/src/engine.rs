@@ -15,8 +15,9 @@
 //!
 //! # Topology / state split
 //!
-//! A superstep **reads** the immutable [`Topology`] (matrices + degrees) and
-//! the current [`VertexState`] (properties + active set), and **writes** only
+//! A superstep **reads** the immutable
+//! [`Topology`](crate::topology::Topology) (matrices + degrees) and the
+//! current [`VertexState`] (properties + active set), and **writes** only
 //! into the run's workspace. Nothing here mutates the topology, which is what
 //! makes one `Arc<Topology>` safe to share between concurrent runs — each
 //! run brings its own state and workspace.
@@ -70,14 +71,10 @@ use crate::options::{DispatchMode, RunOptions, VectorKind};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
 use crate::state::VertexState;
 use crate::stats::Backend;
-use crate::topology::Topology;
 use crate::view::GraphView;
 use graphmat_sparse::bitvec::AtomicBitVec;
-use graphmat_sparse::overlay::{gspmv_overlay_into, Overlay};
 use graphmat_sparse::parallel::{chunks, Executor};
-use graphmat_sparse::partition::PartitionedDcsc;
-use graphmat_sparse::pull::CsrMirror;
-use graphmat_sparse::spmv::{gspmv_csr_pull_into, gspmv_into};
+use graphmat_sparse::spmv::{gspmv_csr_pull_into, gspmv_overlay_into};
 use graphmat_sparse::spvec::{
     DenseVector, MessageVector, SortedSparseVector, SparseVector, WordRangeWriter,
 };
@@ -233,12 +230,11 @@ impl<P: GraphProgram> Workspace<P> {
 /// `RunStats::edges_processed`); the [`VectorKind::Auto`] selector uses it
 /// to estimate the unexplored remainder.
 ///
-/// With no overlay the superstep runs the plain topology kernels; with a
-/// pending overlay the push SpMV runs the merged [`gspmv_overlay_into`]
-/// column walk and SEND accounts the **merged** degree arrays, so metrics
-/// describe the edited graph. [`VectorKind::Auto`] always selects the push
-/// backend while edits are pending — the pull mirrors describe the unedited
-/// base and are only refreshed by compaction.
+/// The push SpMV runs [`gspmv_overlay_into`] over the view's pending
+/// overlay, if any, and SEND accounts the **merged** degree arrays, so
+/// metrics describe the edited graph. [`VectorKind::Auto`] always selects
+/// the push backend while edits are pending — the pull mirrors describe the
+/// unedited base and are only refreshed by compaction.
 ///
 /// The request has been validated by [`crate::session::RunBuilder`] before
 /// the run started (in-edge matrix and in-kernel overlay for `In`/`Both`
@@ -307,7 +303,7 @@ pub(crate) fn superstep_view_into<P: GraphProgram>(
     // the representation the chosen backend reads.
     let send_start = Instant::now();
     let (messages_sent, edges_processed) = match (&mut ws.messages, backend) {
-        (MessageStore::Bitvector(mv), _) => {
+        (MessageStore::Bitvector(mv), _) | (MessageStore::Auto { push: mv, .. }, Backend::Push) => {
             send_frontier(view, state, program, direction, executor, active_count, mv)
         }
         (MessageStore::Sorted(sv), _) => {
@@ -316,9 +312,6 @@ pub(crate) fn superstep_view_into<P: GraphProgram>(
         }
         (MessageStore::Dense(dv), _) | (MessageStore::Auto { pull: dv, .. }, Backend::Pull) => {
             send_frontier(view, state, program, direction, executor, active_count, dv)
-        }
-        (MessageStore::Auto { push: mv, .. }, Backend::Push) => {
-            send_frontier(view, state, program, direction, executor, active_count, mv)
         }
     };
     let send_time = send_start.elapsed();
@@ -331,22 +324,17 @@ pub(crate) fn superstep_view_into<P: GraphProgram>(
         scratch,
         ..
     } = ws;
-    match (&*messages, backend) {
-        (MessageStore::Bitvector(mv), _) => spmv_phase(
-            view, state, program, options, executor, mv, reduced, scratch,
-        )?,
-        (MessageStore::Sorted(sv), _) => spmv_phase(
-            view, state, program, options, executor, sv, reduced, scratch,
-        )?,
-        (MessageStore::Dense(dv), _) | (MessageStore::Auto { pull: dv, .. }, Backend::Pull) => {
-            pull_spmv_phase(
-                topology, state, program, options, executor, dv, reduced, scratch,
-            )?
-        }
-        (MessageStore::Auto { push: mv, .. }, Backend::Push) => spmv_phase(
-            view, state, program, options, executor, mv, reduced, scratch,
-        )?,
-    }
+    spmv_phase(
+        view,
+        state,
+        program,
+        options.dispatch,
+        executor,
+        messages,
+        backend,
+        reduced,
+        scratch,
+    )?;
     let spmv_time = spmv_start.elapsed();
 
     Ok(SuperstepMetrics {
@@ -543,142 +531,119 @@ fn send_frontier<P: GraphProgram, MV: FrontierVector<P::Message>>(
     (sent.load(Ordering::Relaxed), edges.load(Ordering::Relaxed))
 }
 
-/// Run the push SpMV for the program's direction into the workspace buffers.
-/// When the view carries a pending overlay, each direction's sweep runs the
-/// merged `base ⊕ overlay` kernel against the overlay compiled for that
-/// matrix — the `Both`-direction out-then-in merge through the scratch
-/// vector is unchanged, so reduction order (and therefore bits) match a
-/// from-scratch rebuild.
+/// Run the SpMV phase into the workspace buffers, with static
+/// (monomorphised, inlinable) dispatch of the user callbacks or dynamic
+/// (`dyn Fn`) dispatch, the latter modelling the paper's "without -ipo"
+/// configuration for Figure 7. Either way the callbacks are built once per
+/// superstep and [`run_sides`] runs the push or the pull kernel with them.
 #[allow(clippy::too_many_arguments)]
-fn spmv_phase<P, MV>(
+fn spmv_phase<P: GraphProgram>(
     view: GraphView<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
-    options: &RunOptions,
+    dispatch: DispatchMode,
     executor: &Executor,
-    messages: &MV,
+    messages: &MessageStore<P::Message>,
+    backend: Backend,
     reduced: &mut SparseVector<P::Reduced>,
     scratch: &mut Option<SparseVector<P::Reduced>>,
-) -> Result<()>
-where
-    P: GraphProgram,
-    MV: MessageVector<P::Message> + Sync,
-{
-    let topology = view.topology();
+) -> Result<()> {
     let props = state.properties();
-    match program.direction() {
-        EdgeDirection::Out => run_spmv_into(
-            topology.out_matrix(),
-            view.out_kernel_overlay(),
-            messages,
-            program,
-            props,
-            options.dispatch,
-            executor,
-            reduced,
-        ),
-        EdgeDirection::In => run_spmv_into(
-            in_matrix(topology)?,
-            view.in_kernel_overlay(),
-            messages,
-            program,
-            props,
-            options.dispatch,
-            executor,
-            reduced,
-        ),
-        EdgeDirection::Both => {
-            run_spmv_into(
-                topology.out_matrix(),
-                view.out_kernel_overlay(),
-                messages,
-                program,
-                props,
-                options.dispatch,
-                executor,
-                reduced,
-            );
-            let scratch =
-                scratch.get_or_insert_with(|| SparseVector::new(topology.num_vertices() as usize));
-            run_spmv_into(
-                in_matrix(topology)?,
-                view.in_kernel_overlay(),
-                messages,
-                program,
-                props,
-                options.dispatch,
-                executor,
-                scratch,
-            );
-            merge_scratch(program, scratch, reduced);
+    match dispatch {
+        DispatchMode::Static => {
+            let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
+                program.process_message(msg, edge, &props[dst as usize])
+            };
+            let add = |acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value);
+            run_sides(
+                view, program, executor, messages, backend, &multiply, &add, reduced, scratch,
+            )
+        }
+        DispatchMode::Dynamic => {
+            // Route every callback invocation through a trait object so the
+            // optimiser cannot inline the user code into the SpMV kernel.
+            #[allow(clippy::type_complexity)]
+            let process: &(dyn Fn(&P::Message, &P::Edge, &P::VertexProp) -> P::Reduced
+                  + Sync) = &|m, e, d| program.process_message(m, e, d);
+            let reduce: &(dyn Fn(&mut P::Reduced, P::Reduced) + Sync) =
+                &|acc, v| program.reduce(acc, v);
+            let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
+                process(msg, edge, &props[dst as usize])
+            };
+            let add = |acc: &mut P::Reduced, value: P::Reduced| reduce(acc, value);
+            run_sides(
+                view, program, executor, messages, backend, &multiply, &add, reduced, scratch,
+            )
         }
     }
-    Ok(())
 }
 
-/// Run the dense-pull SpMV for the program's direction into the workspace
-/// buffers. Phase structure (and therefore reduction order) matches
-/// [`spmv_phase`] exactly — including the `Both`-direction out-then-in merge
-/// through the scratch vector — so push and pull stay bit-for-bit identical.
+/// Run one SpMV per side of the graph the program's direction traverses:
+/// out-edges, then in-edges. The second side of [`EdgeDirection::Both`]
+/// writes into the scratch vector, which is then folded into `reduced`.
+/// Push and pull take this same walk, so each destination's products
+/// arrive in the same order and the two backends stay bit-for-bit
+/// identical.
+///
+/// Push runs over the side's DCSC merged with its pending overlay, if any,
+/// so results also match a from-scratch rebuild bit for bit. Pull runs over
+/// the side's CSR mirror.
 #[allow(clippy::too_many_arguments)]
-fn pull_spmv_phase<P>(
-    topology: &Topology<P::Edge>,
-    state: &VertexState<P::VertexProp>,
+fn run_sides<P, M, A>(
+    view: GraphView<'_, P::Edge>,
     program: &P,
-    options: &RunOptions,
     executor: &Executor,
-    messages: &DenseVector<P::Message>,
+    messages: &MessageStore<P::Message>,
+    backend: Backend,
+    multiply: &M,
+    add: &A,
     reduced: &mut SparseVector<P::Reduced>,
     scratch: &mut Option<SparseVector<P::Reduced>>,
 ) -> Result<()>
 where
     P: GraphProgram,
+    M: Fn(&P::Message, &P::Edge, Index) -> P::Reduced + Sync,
+    A: Fn(&mut P::Reduced, P::Reduced) + Sync,
 {
-    let props = state.properties();
+    let topology = view.topology();
+    let run = |side: EdgeDirection, y: &mut SparseVector<P::Reduced>| -> Result<()> {
+        let (matrix, overlay, mirror) = if side == EdgeDirection::In {
+            let matrix = topology.in_matrix().ok_or(GraphMatError::MissingInMatrix)?;
+            (matrix, view.in_kernel_overlay(), topology.in_pull_mirror())
+        } else {
+            let matrix = topology.out_matrix();
+            (
+                matrix,
+                view.out_kernel_overlay(),
+                topology.out_pull_mirror(),
+            )
+        };
+        match (messages, backend) {
+            (MessageStore::Bitvector(mv), _)
+            | (MessageStore::Auto { push: mv, .. }, Backend::Push) => {
+                gspmv_overlay_into(matrix, overlay, mv, multiply, add, executor, y)
+            }
+            (MessageStore::Sorted(sv), _) => {
+                gspmv_overlay_into(matrix, overlay, sv, multiply, add, executor, y)
+            }
+            (MessageStore::Dense(dv), _) | (MessageStore::Auto { pull: dv, .. }, Backend::Pull) => {
+                let mirror = mirror.ok_or(GraphMatError::MissingPullMirror)?;
+                gspmv_csr_pull_into(mirror, dv, multiply, add, executor, y)
+            }
+        }
+        Ok(())
+    };
     match program.direction() {
-        EdgeDirection::Out => run_pull_into(
-            out_pull_mirror(topology)?,
-            messages,
-            program,
-            props,
-            options.dispatch,
-            executor,
-            reduced,
-        ),
-        EdgeDirection::In => run_pull_into(
-            in_pull_mirror(topology)?,
-            messages,
-            program,
-            props,
-            options.dispatch,
-            executor,
-            reduced,
-        ),
+        EdgeDirection::Out => run(EdgeDirection::Out, reduced),
+        EdgeDirection::In => run(EdgeDirection::In, reduced),
         EdgeDirection::Both => {
-            run_pull_into(
-                out_pull_mirror(topology)?,
-                messages,
-                program,
-                props,
-                options.dispatch,
-                executor,
-                reduced,
-            );
-            let scratch =
-                scratch.get_or_insert_with(|| SparseVector::new(topology.num_vertices() as usize));
-            run_pull_into(
-                in_pull_mirror(topology)?,
-                messages,
-                program,
-                props,
-                options.dispatch,
-                executor,
-                scratch,
-            );
+            run(EdgeDirection::Out, reduced)?;
+            let scratch = scratch.get_or_insert_with(|| SparseVector::new(reduced.len()));
+            run(EdgeDirection::In, scratch)?;
             merge_scratch(program, scratch, reduced);
+            Ok(())
         }
     }
-    Ok(())
 }
 
 /// Fold the `Both`-direction second output (in-edge traversal) into the
@@ -693,129 +658,10 @@ fn merge_scratch<P: GraphProgram>(
     }
 }
 
-// The lookups below cannot fail for a request `RunBuilder::validate`
-// accepted; they turn the topology's optional matrices into typed errors
-// rather than panics.
-
-fn in_matrix<E>(topology: &Topology<E>) -> Result<&PartitionedDcsc<E>> {
-    topology.in_matrix().ok_or(GraphMatError::MissingInMatrix)
-}
-
-fn out_pull_mirror<E>(topology: &Topology<E>) -> Result<&CsrMirror<E>> {
-    topology
-        .out_pull_mirror()
-        .ok_or(GraphMatError::MissingPullMirror)
-}
-
-fn in_pull_mirror<E>(topology: &Topology<E>) -> Result<&CsrMirror<E>> {
-    topology
-        .in_pull_mirror()
-        .ok_or(GraphMatError::MissingPullMirror)
-}
-
-/// Run the generalized SpMV with either static (monomorphised, inlinable)
-/// dispatch of the user callbacks or dynamic (`dyn Fn`) dispatch, the latter
-/// modelling the paper's "without -ipo" configuration for Figure 7. With an
-/// overlay present the merged `base ⊕ overlay` kernel runs instead of the
-/// plain one — same multiply/add closures, same per-destination reduction
-/// order.
-#[allow(clippy::too_many_arguments)]
-fn run_spmv_into<P, MV>(
-    matrix: &PartitionedDcsc<P::Edge>,
-    overlay: Option<&Overlay<P::Edge>>,
-    messages: &MV,
-    program: &P,
-    props: &[P::VertexProp],
-    dispatch: DispatchMode,
-    executor: &Executor,
-    reduced: &mut SparseVector<P::Reduced>,
-) where
-    P: GraphProgram,
-    MV: MessageVector<P::Message> + Sync,
-{
-    match dispatch {
-        DispatchMode::Static => {
-            let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
-                program.process_message(msg, edge, &props[dst as usize])
-            };
-            let add = |acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value);
-            match overlay {
-                None => gspmv_into(matrix, messages, &multiply, &add, executor, reduced),
-                Some(ov) => {
-                    gspmv_overlay_into(matrix, ov, messages, &multiply, &add, executor, reduced)
-                }
-            }
-        }
-        DispatchMode::Dynamic => {
-            // Route every callback invocation through a trait object so the
-            // optimiser cannot inline the user code into the SpMV kernel.
-            #[allow(clippy::type_complexity)]
-            let process: &(dyn Fn(&P::Message, &P::Edge, &P::VertexProp) -> P::Reduced
-                  + Sync) = &|m, e, d| program.process_message(m, e, d);
-            let reduce: &(dyn Fn(&mut P::Reduced, P::Reduced) + Sync) =
-                &|acc, v| program.reduce(acc, v);
-            let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
-                process(msg, edge, &props[dst as usize])
-            };
-            let add = |acc: &mut P::Reduced, value: P::Reduced| reduce(acc, value);
-            match overlay {
-                None => gspmv_into(matrix, messages, &multiply, &add, executor, reduced),
-                Some(ov) => {
-                    gspmv_overlay_into(matrix, ov, messages, &multiply, &add, executor, reduced)
-                }
-            }
-        }
-    }
-}
-
-/// Run the dense-pull SpMV with static or dynamic dispatch of the user
-/// callbacks (same Figure 7 ablation semantics as [`run_spmv_into`]).
-fn run_pull_into<P>(
-    mirror: &CsrMirror<P::Edge>,
-    messages: &DenseVector<P::Message>,
-    program: &P,
-    props: &[P::VertexProp],
-    dispatch: DispatchMode,
-    executor: &Executor,
-    reduced: &mut SparseVector<P::Reduced>,
-) where
-    P: GraphProgram,
-{
-    match dispatch {
-        DispatchMode::Static => gspmv_csr_pull_into(
-            mirror,
-            messages,
-            &|msg: &P::Message, edge: &P::Edge, dst: Index| {
-                program.process_message(msg, edge, &props[dst as usize])
-            },
-            &|acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value),
-            executor,
-            reduced,
-        ),
-        DispatchMode::Dynamic => {
-            #[allow(clippy::type_complexity)]
-            let process: &(dyn Fn(&P::Message, &P::Edge, &P::VertexProp) -> P::Reduced
-                  + Sync) = &|m, e, d| program.process_message(m, e, d);
-            let reduce: &(dyn Fn(&mut P::Reduced, P::Reduced) + Sync) =
-                &|acc, v| program.reduce(acc, v);
-            gspmv_csr_pull_into(
-                mirror,
-                messages,
-                &|msg: &P::Message, edge: &P::Edge, dst: Index| {
-                    process(msg, edge, &props[dst as usize])
-                },
-                &|acc: &mut P::Reduced, value: P::Reduced| reduce(acc, value),
-                executor,
-                reduced,
-            )
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::GraphBuildOptions;
+    use crate::topology::{GraphBuildOptions, Topology};
     use graphmat_io::edgelist::EdgeList;
 
     /// SSSP as in the paper's Figure 3 / appendix.

@@ -20,10 +20,9 @@
 //! overlay always pushes ([`VectorKind::Auto`] selects push; forcing
 //! [`VectorKind::Dense`] is a typed error). Results stay bit-for-bit
 //! identical to a run over a topology rebuilt from the edited edge list —
-//! the merged column walk of
-//! [`graphmat_sparse::overlay::gspmv_overlay_into`] folds each
-//! destination's products in the same ascending-source order a rebuild
-//! would.
+//! the merged column walk of the push kernel
+//! [`graphmat_sparse::spmv::gspmv_overlay_into`] folds each destination's
+//! products in the same ascending-source order a rebuild would.
 //!
 //! [`VectorKind::Auto`]: crate::options::VectorKind::Auto
 //! [`VectorKind::Dense`]: crate::options::VectorKind::Dense

@@ -22,14 +22,16 @@
 //! * [`pull`] — row-major CSR mirrors of the partitioned DCSC, the structure
 //!   the dense-pull backend traverses (direction optimization à la Beamer /
 //!   GraphBLAST).
-//! * [`spmv`] — sequential and partition-parallel *generalized* sparse
-//!   matrix–sparse vector multiplication (paper Algorithm 1), plus the
-//!   row-parallel dense-pull kernel.
+//! * [`spmv`] — the two *generalized* SpMV kernels: the partition-parallel
+//!   sparse push kernel (paper Algorithm 1), which also merges a pending
+//!   [`overlay`] into its column walk, and the row-parallel dense-pull
+//!   kernel.
 //! * [`spmm`] — (masked) sparse matrix–matrix multiplication, needed by the
 //!   CombBLAS-style triangle-counting baseline.
-//! * [`overlay`] — sorted delta overlays (pending edge edits) and the merged
-//!   `base ⊕ overlay` SpMV used by the streaming-update layer; reduction
-//!   order matches a from-scratch rebuild bit for bit.
+//! * [`overlay`] — sorted delta overlays: the pending edge edits of the
+//!   streaming-update layer, laid out for the push kernel's merged
+//!   `base ⊕ overlay` walk, whose reduction order matches a from-scratch
+//!   rebuild bit for bit.
 //!
 //! The crate is deliberately free of graph-level concepts: it only knows about
 //! matrices, vectors and partitions. `graphmat-core` builds the vertex-program

@@ -5,9 +5,9 @@
 //! deletions between compactions. Rebuilding the DCSC per batch would cost
 //! O(E log E); instead the pending edits live in an [`Overlay`] — a
 //! column-major, partition-aligned structure holding at most **one**
-//! [`OverlayOp`] per `(row, col)` coordinate — and
-//! [`gspmv_overlay_into`] runs Algorithm 1 over `base ⊕ overlay` with a
-//! merged two-pointer column walk.
+//! [`OverlayOp`] per `(row, col)` coordinate — and the push kernel
+//! [`crate::spmv::gspmv_overlay_into`] runs Algorithm 1 over
+//! `base ⊕ overlay` with a merged two-pointer column walk.
 //!
 //! The walk preserves the push kernel's reduction-order contract: products
 //! arrive at each destination row in **ascending source (column) order**,
@@ -18,12 +18,10 @@
 //! a duplicated coordinate masks *all* stored copies).
 //!
 //! The overlay mirrors the base's row partitioning one-to-one, so the
-//! parallel path reuses the disjoint-row-range writer of
-//! [`crate::spmv::gspmv_into`] unchanged.
+//! kernel's parallel path writes through the same disjoint-row-range
+//! writer with or without pending edits.
 
-use crate::parallel::Executor;
 use crate::partition::{PartitionedDcsc, RowRange};
-use crate::spvec::{MessageVector, SparseVector};
 use crate::Index;
 
 /// One pending edit at a matrix coordinate.
@@ -37,15 +35,15 @@ pub enum OverlayOp<T> {
 
 /// The edits owned by one row partition, in DCSC-shaped column-major order.
 #[derive(Clone, Debug)]
-struct OverlayPartition<T> {
+pub(crate) struct OverlayPartition<T> {
     /// Non-empty column ids, ascending.
-    cols: Vec<Index>,
+    pub(crate) cols: Vec<Index>,
     /// `col_ptr[i]..col_ptr[i+1]` indexes the entries of `cols[i]`.
-    col_ptr: Vec<usize>,
+    pub(crate) col_ptr: Vec<usize>,
     /// Row ids per column, ascending, unique within a column.
-    rows: Vec<Index>,
+    pub(crate) rows: Vec<Index>,
     /// The op at each `(row, col)` coordinate.
-    ops: Vec<OverlayOp<T>>,
+    pub(crate) ops: Vec<OverlayOp<T>>,
 }
 
 /// A sorted set of pending edits aligned to a base matrix's row partitions.
@@ -60,7 +58,7 @@ pub struct Overlay<T> {
     nrows: Index,
     ncols: Index,
     ranges: Vec<RowRange>,
-    partitions: Vec<OverlayPartition<T>>,
+    pub(crate) partitions: Vec<OverlayPartition<T>>,
     n_upserts: usize,
 }
 
@@ -206,7 +204,7 @@ impl<T> Overlay<T> {
     /// Assert that this overlay is aligned with `base`: same shape and the
     /// exact same row partitioning (the soundness condition for the shared
     /// disjoint-row-range output writer).
-    fn check_aligned<E>(&self, base: &PartitionedDcsc<E>) {
+    pub(crate) fn check_aligned<E>(&self, base: &PartitionedDcsc<E>) {
         assert_eq!(self.nrows, base.nrows(), "overlay/base row count mismatch");
         assert_eq!(self.ncols, base.ncols(), "overlay/base col count mismatch");
         assert_eq!(
@@ -224,191 +222,14 @@ impl<T> Overlay<T> {
     }
 }
 
-/// Generalized SpMV over `base ⊕ overlay`, writing into a caller-provided
-/// output vector — the overlay-aware twin of [`crate::spmv::gspmv_into`].
-///
-/// Per destination row, products are folded in ascending source (column)
-/// order with deleted entries skipped and upserted entries multiplied in
-/// their sorted position — bit-for-bit what [`crate::spmv::gspmv_into`]
-/// produces on a matrix rebuilt from the edited edge list. Like the plain
-/// kernel this never allocates, and an empty overlay adds only one pointer
-/// comparison per non-empty base column.
-///
-/// # Panics
-/// Panics if `overlay` is not aligned with `base` (shape and row
-/// partitioning must match exactly) or `y` has the wrong length.
-pub fn gspmv_overlay_into<X, E, Y, V, M, A>(
-    base: &PartitionedDcsc<E>,
-    overlay: &Overlay<E>,
-    x: &V,
-    multiply: &M,
-    add: &A,
-    executor: &Executor,
-    y: &mut SparseVector<Y>,
-) where
-    V: MessageVector<X> + Sync,
-    X: Sync,
-    E: Sync,
-    Y: Clone + Default + Send,
-    M: Fn(&X, &E, Index) -> Y + Sync,
-    A: Fn(&mut Y, Y) + Sync,
-{
-    assert_eq!(
-        y.len(),
-        base.nrows() as usize,
-        "output vector length must match the matrix row count"
-    );
-    overlay.check_aligned(base);
-    y.clear();
-    if x.nnz() == 0 {
-        return;
-    }
-    let nparts = base.n_partitions();
-    if executor.nthreads() == 1 || nparts == 1 {
-        for p in 0..nparts {
-            walk_columns_overlay(
-                &base.partition(p).matrix,
-                &overlay.partitions[p],
-                x,
-                multiply,
-                |k, product| y.merge(k, product, |acc, v| add(acc, v)),
-            );
-        }
-        return;
-    }
-
-    let shards = y.sharded();
-    executor.for_each_dynamic(nparts, |p| {
-        let part = base.partition(p);
-        let mut newly_set = 0usize;
-        walk_columns_overlay(
-            &part.matrix,
-            &overlay.partitions[p],
-            x,
-            multiply,
-            |k, product| {
-                // SAFETY: the overlay partitioning equals the base's
-                // (checked above), so partitions own disjoint row ranges and
-                // row `k` is merged by this task only — the same argument
-                // that makes `gspmv_into` sound.
-                unsafe { shards.merge(k, product, &mut newly_set, |acc, v| add(acc, v)) };
-            },
-        );
-        shards.commit(newly_set);
-    });
-    drop(shards); // folds the per-task counts into y's nnz
-}
-
-/// The merged Algorithm-1 column walk: two-pointer sweep over the base
-/// partition's non-empty columns and the overlay's, emitting `(row, product)`
-/// pairs in exactly the order a rebuilt matrix would.
-#[inline(always)]
-fn walk_columns_overlay<X, E, Y, V, M>(
-    base: &crate::dcsc::Dcsc<E>,
-    overlay: &OverlayPartition<E>,
-    x: &V,
-    multiply: &M,
-    mut sink: impl FnMut(Index, Y),
-) where
-    V: MessageVector<X>,
-    M: Fn(&X, &E, Index) -> Y,
-{
-    let nb = base.n_nonempty_cols();
-    let no = overlay.cols.len();
-    if no == 0 {
-        // Empty overlay: fall through to the plain column walk — the
-        // steady-state serving path pays only this one comparison.
-        for (j, rows, edges) in base.iter_cols() {
-            if let Some(xj) = x.get(j) {
-                for (k, e) in rows.iter().zip(edges) {
-                    sink(*k, multiply(xj, e, *k));
-                }
-            }
-        }
-        return;
-    }
-
-    let mut bi = 0usize;
-    let mut oi = 0usize;
-    while bi < nb || oi < no {
-        let bcol = if bi < nb {
-            Some(base.nonempty_col(bi).0)
-        } else {
-            None
-        };
-        let ocol = if oi < no {
-            Some(overlay.cols[oi])
-        } else {
-            None
-        };
-        match (bcol, ocol) {
-            (Some(bj), oj) if oj.is_none() || bj < oj.unwrap_or(Index::MAX) => {
-                // Base-only column: emit its entries unchanged.
-                let (j, rows, edges) = base.nonempty_col(bi);
-                if let Some(xj) = x.get(j) {
-                    for (k, e) in rows.iter().zip(edges) {
-                        sink(*k, multiply(xj, e, *k));
-                    }
-                }
-                bi += 1;
-            }
-            (bj, Some(oj)) if bj.is_none() || oj < bj.unwrap_or(Index::MAX) => {
-                // Overlay-only column: upserts are fresh entries, deletes
-                // target nothing.
-                if let Some(xj) = x.get(oj) {
-                    let (start, end) = (overlay.col_ptr[oi], overlay.col_ptr[oi + 1]);
-                    for idx in start..end {
-                        if let OverlayOp::Upsert(w) = &overlay.ops[idx] {
-                            let k = overlay.rows[idx];
-                            sink(k, multiply(xj, w, k));
-                        }
-                    }
-                }
-                oi += 1;
-            }
-            _ => {
-                // Same column in both: merge rows with a second two-pointer
-                // sweep; an op masks every stored copy of its coordinate.
-                let (j, rows, edges) = base.nonempty_col(bi);
-                if let Some(xj) = x.get(j) {
-                    let (start, end) = (overlay.col_ptr[oi], overlay.col_ptr[oi + 1]);
-                    let orows = &overlay.rows[start..end];
-                    let oops = &overlay.ops[start..end];
-                    let mut i = 0usize;
-                    let mut o = 0usize;
-                    while i < rows.len() || o < orows.len() {
-                        if o == orows.len() || (i < rows.len() && rows[i] < orows[o]) {
-                            sink(rows[i], multiply(xj, &edges[i], rows[i]));
-                            i += 1;
-                        } else if i == rows.len() || orows[o] < rows[i] {
-                            if let OverlayOp::Upsert(w) = &oops[o] {
-                                sink(orows[o], multiply(xj, w, orows[o]));
-                            }
-                            o += 1;
-                        } else {
-                            let k = rows[i];
-                            while i < rows.len() && rows[i] == k {
-                                i += 1; // mask all stored copies
-                            }
-                            if let OverlayOp::Upsert(w) = &oops[o] {
-                                sink(k, multiply(xj, w, k));
-                            }
-                            o += 1;
-                        }
-                    }
-                }
-                bi += 1;
-                oi += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::parallel::Executor;
     use crate::partition::RowPartitioner;
+    use crate::spmv::{gspmv_into, gspmv_overlay_into};
+    use crate::spvec::SparseVector;
 
     /// The Figure 3 graph of the paper, as `Gᵀ` (row = dst, col = src).
     fn figure3_transpose() -> Vec<(Index, Index, f32)> {
@@ -468,7 +289,7 @@ mod tests {
         let mut y = SparseVector::new(5);
         gspmv_overlay_into(
             base,
-            ov,
+            Some(ov),
             x,
             &|m: &f32, e: &f32, _| m * e,
             &|acc: &mut f32, v| *acc += v,
@@ -484,7 +305,7 @@ mod tests {
         threads: usize,
     ) -> Vec<(Index, f32)> {
         let mut y = SparseVector::new(5);
-        crate::spmv::gspmv_into(
+        gspmv_into(
             base,
             x,
             &|m: &f32, e: &f32, _| m * e,
@@ -614,20 +435,15 @@ mod tests {
             };
             ops.push((r, c, op));
         }
-        let ov = Overlay::from_entries(n, n, &ranges, ops.clone());
-
-        let mut rebuilt_entries: Vec<(Index, Index, f64)> = entries
+        // After a small UPDATE most partitions have no edits, and the walk
+        // branches per partition on exactly that: also run the ops that fall
+        // in one partition's row range.
+        let part = ranges[3];
+        let one_partition: Vec<(Index, Index, OverlayOp<f64>)> = ops
             .iter()
-            .filter(|&&(r, c, _)| !ops.iter().any(|&(or, oc, _)| or == r && oc == c))
-            .copied()
+            .filter(|&&(r, _, _)| part.start <= r && r < part.end)
+            .cloned()
             .collect();
-        for (r, c, op) in &ops {
-            if let OverlayOp::Upsert(w) = op {
-                rebuilt_entries.push((*r, *c, *w));
-            }
-        }
-        let rebuilt_coo = Coo::from_entries(n, n, rebuilt_entries);
-        let rebuilt = PartitionedDcsc::from_coo(&rebuilt_coo, &ranges);
 
         let mut x: SparseVector<f64> = SparseVector::new(n as usize);
         for i in 0..n {
@@ -637,23 +453,41 @@ mod tests {
         }
         let multiply = |m: &f64, e: &f64, k: Index| m * e + k as f64 * 1e-9;
         let add = |acc: &mut f64, v: f64| *acc += v;
-        for threads in [1usize, 4] {
-            let ex = Executor::new(threads);
-            let mut want: SparseVector<f64> = SparseVector::new(n as usize);
-            crate::spmv::gspmv_into(&rebuilt, &x, &multiply, &add, &ex, &mut want);
-            let mut got: SparseVector<f64> = SparseVector::new(n as usize);
-            gspmv_overlay_into(&base, &ov, &x, &multiply, &add, &ex, &mut got);
-            let want_bits: Vec<(Index, u64)> = want
-                .to_entries()
-                .into_iter()
-                .map(|(k, v)| (k, v.to_bits()))
+        for ops in [ops, one_partition] {
+            let ov = Overlay::from_entries(n, n, &ranges, ops.clone());
+            assert!(!ov.is_empty());
+
+            let mut rebuilt_entries: Vec<(Index, Index, f64)> = entries
+                .iter()
+                .filter(|&&(r, c, _)| !ops.iter().any(|&(or, oc, _)| or == r && oc == c))
+                .copied()
                 .collect();
-            let got_bits: Vec<(Index, u64)> = got
-                .to_entries()
-                .into_iter()
-                .map(|(k, v)| (k, v.to_bits()))
-                .collect();
-            assert_eq!(got_bits, want_bits, "{threads} threads");
+            for (r, c, op) in &ops {
+                if let OverlayOp::Upsert(w) = op {
+                    rebuilt_entries.push((*r, *c, *w));
+                }
+            }
+            let rebuilt_coo = Coo::from_entries(n, n, rebuilt_entries);
+            let rebuilt = PartitionedDcsc::from_coo(&rebuilt_coo, &ranges);
+
+            for threads in [1usize, 4] {
+                let ex = Executor::new(threads);
+                let mut want: SparseVector<f64> = SparseVector::new(n as usize);
+                gspmv_into(&rebuilt, &x, &multiply, &add, &ex, &mut want);
+                let mut got: SparseVector<f64> = SparseVector::new(n as usize);
+                gspmv_overlay_into(&base, Some(&ov), &x, &multiply, &add, &ex, &mut got);
+                let want_bits: Vec<(Index, u64)> = want
+                    .to_entries()
+                    .into_iter()
+                    .map(|(k, v)| (k, v.to_bits()))
+                    .collect();
+                let got_bits: Vec<(Index, u64)> = got
+                    .to_entries()
+                    .into_iter()
+                    .map(|(k, v)| (k, v.to_bits()))
+                    .collect();
+                assert_eq!(got_bits, want_bits, "{} ops, {threads} threads", ops.len());
+            }
         }
     }
 
@@ -666,7 +500,7 @@ mod tests {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             gspmv_overlay_into(
                 &base,
-                &ov,
+                Some(&ov),
                 &full_frontier(),
                 &|m: &f32, e: &f32, _| m * e,
                 &|acc: &mut f32, v| *acc += v,

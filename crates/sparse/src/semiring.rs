@@ -9,8 +9,8 @@
 //! The full GraphMat engine in `graphmat-core` uses a richer signature (the
 //! destination vertex's property is also an input to `process_message`,
 //! which is GraphMat's productivity advantage over CombBLAS), but the plain
-//! semiring form is what the standalone SpMV/SpGEMM kernels here and the
-//! CombBLAS-style baseline use.
+//! semiring form is what the SpGEMM kernels here and the CombBLAS-style
+//! baseline use.
 
 /// A generalized (multiply, add) pair over message type `X`, edge type `E`
 /// and accumulator type `Y`.

@@ -3,113 +3,52 @@
 //! This is Algorithm 1 of the paper: walk the non-empty columns `j` of (a
 //! partition of) `Gᵀ`; if `j` is present in the sparse input vector `x`,
 //! combine `x[j]` with every stored entry `(k, j)` using the generalized
-//! multiply, and fold the results into `y[k]` with the generalized add.
+//! multiply, and fold the results into `y[k]` with the generalized add. The
+//! multiply also receives the destination row index `k`, which is how
+//! `graphmat-core` gives `PROCESS_MESSAGE` access to the destination
+//! vertex's property — GraphMat's key frontend extension over CombBLAS
+//! (§4.2).
 //!
-//! Three entry points are provided:
+//! There are two kernels:
 //!
-//! * [`gspmv_dcsc`] — sequential kernel over a single DCSC, generic over the
-//!   multiply/add closures (the multiply also receives the destination row
-//!   index `k`, which is how `graphmat-core` gives `PROCESS_MESSAGE` access
-//!   to the destination vertex's property — GraphMat's key frontend
-//!   extension over CombBLAS, §4.2).
-//! * [`gspmv_into`] / [`gspmv`] — partition-parallel kernel over a
-//!   [`PartitionedDcsc`], using an [`Executor`] for dynamic scheduling. Each
+//! * The **push** kernel, [`gspmv_overlay_into`] — partition-parallel over a
+//!   [`PartitionedDcsc`], optionally merged with a pending [`Overlay`] of
+//!   edge edits, using an [`Executor`] for dynamic scheduling. Each
 //!   partition owns a disjoint row range, so all partitions write directly
 //!   into **one** shared output vector through a disjoint-row-range writer —
-//!   no per-partition partial vectors, no stitch pass, zero allocation in
-//!   `gspmv_into` (see its "Allocation contract" section).
-//! * [`gspmv_semiring`] — convenience wrapper taking a [`Semiring`] instead
-//!   of closures (used by the plain linear-algebra benches and the
-//!   CombBLAS-style baseline).
-//! * [`gspmv_csr_pull_into`] — the row-parallel **dense pull** kernel over a
-//!   [`CsrMirror`], used by the direction-optimized engine when the frontier
-//!   is dense (reads a [`DenseVector`] by index; writes each output row
-//!   exactly once, with no sharded scatter).
+//!   no per-partition partial vectors, no stitch pass, zero allocation (see
+//!   its "Allocation contract" section). [`gspmv_into`] runs it without an
+//!   overlay and [`gspmv`] additionally allocates the output.
+//! * The **dense pull** kernel, [`gspmv_csr_pull_into`] — row-parallel over
+//!   a [`CsrMirror`], used by the direction-optimized engine when the
+//!   frontier is dense (reads a [`DenseVector`] by index; writes each output
+//!   row exactly once, with no sharded scatter).
 
 use crate::dcsc::Dcsc;
+use crate::overlay::{Overlay, OverlayOp, OverlayPartition};
 use crate::parallel::Executor;
 use crate::partition::PartitionedDcsc;
 use crate::pull::CsrMirror;
-use crate::semiring::Semiring;
 use crate::spvec::{DenseVector, MessageVector, SparseVector};
 use crate::Index;
+use std::cmp::Ordering;
 
-/// Sequential generalized SpMV over a single DCSC matrix.
-///
-/// * `multiply(x_j, edge, k)` — combine the input-vector entry at column `j`
-///   with the matrix entry at `(k, j)`; `k` is the destination row.
-/// * `add(acc, value)` — fold a product into the accumulator for row `k`.
-///
-/// Returns a sparse vector whose set entries are exactly the rows that
-/// received at least one product.
-pub fn gspmv_dcsc<X, E, Y, V, M, A>(
-    matrix: &Dcsc<E>,
-    x: &V,
-    multiply: &M,
-    add: &A,
-) -> SparseVector<Y>
-where
-    V: MessageVector<X>,
-    Y: Clone + Default,
-    M: Fn(&X, &E, Index) -> Y,
-    A: Fn(&mut Y, Y),
-{
-    let mut y: SparseVector<Y> = SparseVector::new(matrix.nrows() as usize);
-    gspmv_dcsc_into(matrix, x, multiply, add, &mut y);
-    y
-}
-
-/// Like [`gspmv_dcsc`] but accumulating into an existing output vector
-/// (entries already present are folded into with `add`).
-pub fn gspmv_dcsc_into<X, E, Y, V, M, A>(
-    matrix: &Dcsc<E>,
-    x: &V,
-    multiply: &M,
-    add: &A,
-    y: &mut SparseVector<Y>,
-) where
-    V: MessageVector<X>,
-    Y: Clone + Default,
-    M: Fn(&X, &E, Index) -> Y,
-    A: Fn(&mut Y, Y),
-{
-    walk_columns(matrix, x, multiply, |k, product| {
-        y.merge(k, product, |acc, v| add(acc, v))
-    });
-}
-
-/// The Algorithm-1 column walk shared by the sequential and parallel kernels:
-/// for each non-empty column `j` of (a partition of) `Gᵀ` present in `x`,
-/// multiply `x[j]` against every stored entry `(k, j)` and hand the
-/// `(row, product)` pair to `sink` — which reduces into either a plain
-/// [`SparseVector`] or a shard of one.
-#[inline(always)]
-fn walk_columns<X, E, Y, V, M>(
-    matrix: &Dcsc<E>,
-    x: &V,
-    multiply: &M,
-    mut sink: impl FnMut(Index, Y),
-) where
-    V: MessageVector<X>,
-    M: Fn(&X, &E, Index) -> Y,
-{
-    for (j, rows, edges) in matrix.iter_cols() {
-        if let Some(xj) = x.get(j) {
-            for (k, e) in rows.iter().zip(edges) {
-                sink(*k, multiply(xj, e, *k));
-            }
-        }
-    }
-}
-
-/// Partition-parallel generalized SpMV (Algorithm 1 + optimizations 3 and 4
-/// of §4.5), writing into a caller-provided output vector.
+/// Partition-parallel generalized SpMV over `base ⊕ overlay` (Algorithm 1 +
+/// optimizations 3 and 4 of §4.5), writing into a caller-provided output
+/// vector. With `overlay == None` this is the plain kernel over `base`.
 ///
 /// `y` is cleared and then filled in place. All partitions write directly
 /// into `y` through a disjoint-row-range writer ([`SparseVector::sharded`]):
 /// each partition owns a contiguous, non-overlapping row range (a
-/// [`PartitionedDcsc`] construction invariant), so no two tasks ever touch
-/// the same output entry and no stitching pass is needed.
+/// [`PartitionedDcsc`] construction invariant, which an overlay must share),
+/// so no two tasks ever touch the same output entry and no stitching pass
+/// is needed.
+///
+/// Per destination row, products are folded in ascending source (column)
+/// order with deleted entries skipped and upserted entries multiplied in
+/// their sorted position — bit-for-bit what the kernel produces on a matrix
+/// rebuilt from the edited edge list. A partition without pending edits
+/// runs the plain column walk.
 ///
 /// # Allocation contract
 ///
@@ -120,8 +59,13 @@ fn walk_columns<X, E, Y, V, M>(
 /// the paper's `8 × threads` partitioning) and then stitched the partials
 /// sequentially; that cost is gone. Callers running many supersteps should
 /// reuse one `y` across calls (the engine's workspace does exactly that).
-pub fn gspmv_into<X, E, Y, V, M, A>(
-    matrix: &PartitionedDcsc<E>,
+///
+/// # Panics
+/// Panics if `y` has the wrong length, or if `overlay` is not aligned with
+/// `base` (shape and row partitioning must match exactly).
+pub fn gspmv_overlay_into<X, E, Y, V, M, A>(
+    base: &PartitionedDcsc<E>,
+    overlay: Option<&Overlay<E>>,
     x: &V,
     multiply: &M,
     add: &A,
@@ -137,34 +81,183 @@ pub fn gspmv_into<X, E, Y, V, M, A>(
 {
     assert_eq!(
         y.len(),
-        matrix.nrows() as usize,
+        base.nrows() as usize,
         "output vector length must match the matrix row count"
     );
+    if let Some(overlay) = overlay {
+        overlay.check_aligned(base);
+    }
     y.clear();
     if x.nnz() == 0 {
         return;
     }
-    let nparts = matrix.n_partitions();
+    let edits = |p: usize| overlay.map(|overlay| &overlay.partitions[p]);
+    let nparts = base.n_partitions();
     if executor.nthreads() == 1 || nparts == 1 {
-        for part in matrix.partitions() {
-            gspmv_dcsc_into(&part.matrix, x, multiply, add, y);
+        for p in 0..nparts {
+            walk_columns(
+                &base.partition(p).matrix,
+                edits(p),
+                x,
+                multiply,
+                |k, product| y.merge(k, product, |acc, v| add(acc, v)),
+            );
         }
         return;
     }
 
     let shards = y.sharded();
     executor.for_each_dynamic(nparts, |p| {
-        let part = matrix.partition(p);
         let mut newly_set = 0usize;
-        walk_columns(&part.matrix, x, multiply, |k, product| {
-            // SAFETY: partitions own disjoint row ranges, so row `k` is
-            // merged by this task only (the same argument that makes the
-            // runner's parallel APPLY sound).
-            unsafe { shards.merge(k, product, &mut newly_set, |acc, v| add(acc, v)) };
-        });
+        walk_columns(
+            &base.partition(p).matrix,
+            edits(p),
+            x,
+            multiply,
+            |k, product| {
+                // SAFETY: partitions own disjoint row ranges (an overlay's
+                // partitioning equals the base's, checked above), so row `k`
+                // is merged by this task only — the same argument that makes
+                // the runner's parallel APPLY sound.
+                unsafe { shards.merge(k, product, &mut newly_set, |acc, v| add(acc, v)) };
+            },
+        );
         shards.commit(newly_set);
     });
     drop(shards); // folds the per-task counts into y's nnz
+}
+
+/// The Algorithm-1 column walk over one partition of `base ⊕ edits`: a
+/// two-pointer sweep over the base's non-empty columns and the edited ones,
+/// handing `(row, product)` pairs to `sink` — which reduces into either a
+/// plain [`SparseVector`] or a shard of one — in exactly the order a
+/// rebuilt matrix would produce them.
+#[inline(always)]
+fn walk_columns<X, E, Y, V, M>(
+    base: &Dcsc<E>,
+    edits: Option<&OverlayPartition<E>>,
+    x: &V,
+    multiply: &M,
+    mut sink: impl FnMut(Index, Y),
+) where
+    V: MessageVector<X>,
+    M: Fn(&X, &E, Index) -> Y,
+{
+    let edits = match edits {
+        Some(edits) if !edits.cols.is_empty() => edits,
+        _ => {
+            // No pending edits: the plain column walk — the steady-state
+            // path pays only the check above, once per partition.
+            for col in base.iter_cols() {
+                emit_column(col, x, multiply, &mut sink);
+            }
+            return;
+        }
+    };
+
+    let mut bi = 0usize;
+    let mut oi = 0usize;
+    loop {
+        let order = match (base.col_indices().get(bi), edits.cols.get(oi)) {
+            (None, None) => return,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(bj), Some(oj)) => bj.cmp(oj),
+        };
+        match order {
+            Ordering::Less => {
+                // Base-only column: emit its entries unchanged.
+                emit_column(base.nonempty_col(bi), x, multiply, &mut sink);
+                bi += 1;
+            }
+            Ordering::Greater => {
+                // Overlay-only column: upserts are fresh entries, deletes
+                // target nothing.
+                if let Some(xj) = x.get(edits.cols[oi]) {
+                    let (start, end) = (edits.col_ptr[oi], edits.col_ptr[oi + 1]);
+                    for idx in start..end {
+                        if let OverlayOp::Upsert(w) = &edits.ops[idx] {
+                            let k = edits.rows[idx];
+                            sink(k, multiply(xj, w, k));
+                        }
+                    }
+                }
+                oi += 1;
+            }
+            Ordering::Equal => {
+                // Same column in both: merge rows with a second two-pointer
+                // sweep; an op masks every stored copy of its coordinate.
+                let (j, rows, edges) = base.nonempty_col(bi);
+                if let Some(xj) = x.get(j) {
+                    let (start, end) = (edits.col_ptr[oi], edits.col_ptr[oi + 1]);
+                    let orows = &edits.rows[start..end];
+                    let oops = &edits.ops[start..end];
+                    let mut i = 0usize;
+                    let mut o = 0usize;
+                    while i < rows.len() || o < orows.len() {
+                        if o == orows.len() || (i < rows.len() && rows[i] < orows[o]) {
+                            sink(rows[i], multiply(xj, &edges[i], rows[i]));
+                            i += 1;
+                        } else if i == rows.len() || orows[o] < rows[i] {
+                            if let OverlayOp::Upsert(w) = &oops[o] {
+                                sink(orows[o], multiply(xj, w, orows[o]));
+                            }
+                            o += 1;
+                        } else {
+                            let k = rows[i];
+                            while i < rows.len() && rows[i] == k {
+                                i += 1; // mask all stored copies
+                            }
+                            if let OverlayOp::Upsert(w) = &oops[o] {
+                                sink(k, multiply(xj, w, k));
+                            }
+                            o += 1;
+                        }
+                    }
+                }
+                bi += 1;
+                oi += 1;
+            }
+        }
+    }
+}
+
+/// Emit every stored entry of one base column `j`, if `j` is in `x`.
+#[inline(always)]
+fn emit_column<X, E, Y, V, M>(
+    (j, rows, edges): (Index, &[Index], &[E]),
+    x: &V,
+    multiply: &M,
+    sink: &mut impl FnMut(Index, Y),
+) where
+    V: MessageVector<X>,
+    M: Fn(&X, &E, Index) -> Y,
+{
+    if let Some(xj) = x.get(j) {
+        for (k, e) in rows.iter().zip(edges) {
+            sink(*k, multiply(xj, e, *k));
+        }
+    }
+}
+
+/// Partition-parallel generalized SpMV over `matrix` alone — the push kernel
+/// [`gspmv_overlay_into`] with no overlay.
+pub fn gspmv_into<X, E, Y, V, M, A>(
+    matrix: &PartitionedDcsc<E>,
+    x: &V,
+    multiply: &M,
+    add: &A,
+    executor: &Executor,
+    y: &mut SparseVector<Y>,
+) where
+    V: MessageVector<X> + Sync,
+    X: Sync,
+    E: Sync,
+    Y: Clone + Default + Send,
+    M: Fn(&X, &E, Index) -> Y + Sync,
+    A: Fn(&mut Y, Y) + Sync,
+{
+    gspmv_overlay_into(matrix, None, x, multiply, add, executor, y);
 }
 
 /// Row-parallel generalized SpMV over a row-major [`CsrMirror`] — the
@@ -299,34 +392,11 @@ where
     y
 }
 
-/// Generalized SpMV where the multiply/add come from a [`Semiring`].
-pub fn gspmv_semiring<S, V>(
-    matrix: &PartitionedDcsc<S::E>,
-    x: &V,
-    semiring: &S,
-    executor: &Executor,
-) -> SparseVector<S::Y>
-where
-    S: Semiring,
-    S::X: Sync,
-    S::E: Sync,
-    S::Y: Clone + Default + Send,
-    V: MessageVector<S::X> + Sync,
-{
-    gspmv(
-        matrix,
-        x,
-        &|x: &S::X, e: &S::E, _k: Index| semiring.multiply(x, e),
-        &|acc: &mut S::Y, v: S::Y| semiring.add(acc, v),
-        executor,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::Coo;
-    use crate::semiring::{MinPlus, PlusTimes};
+    use crate::semiring::{MinPlus, PlusTimes, Semiring};
 
     /// The 5-vertex weighted graph of the paper's Figure 3 (SSSP example).
     /// Vertices A..E = 0..4; edges (src, dst, weight).
@@ -394,7 +464,13 @@ mod tests {
         }
         let pd = PartitionedDcsc::from_coo_even(&gt, 3);
         let ones = SparseVector::full(4, 1.0f64);
-        let y = gspmv_semiring(&pd, &ones, &PlusTimes, &Executor::sequential());
+        let y = gspmv(
+            &pd,
+            &ones,
+            &|x: &f64, e: &f64, _| PlusTimes.multiply(x, e),
+            &|acc: &mut f64, v| PlusTimes.add(acc, v),
+            &Executor::sequential(),
+        );
         // in-degrees: A=0 (unset), B=1, C=2, D=1
         assert_eq!(y.get(0), None);
         assert_eq!(y.get(1), Some(&1.0));
@@ -421,8 +497,10 @@ mod tests {
         for i in (0..64).step_by(3) {
             x.set(i, (i + 1) as f64);
         }
-        let seq = gspmv_semiring(&pd_seq, &x, &PlusTimes, &Executor::sequential());
-        let par = gspmv_semiring(&pd_par, &x, &PlusTimes, &Executor::new(4));
+        let multiply = |x: &f64, e: &f64, _| PlusTimes.multiply(x, e);
+        let add = |acc: &mut f64, v| PlusTimes.add(acc, v);
+        let seq = gspmv(&pd_seq, &x, &multiply, &add, &Executor::sequential());
+        let par = gspmv(&pd_par, &x, &multiply, &add, &Executor::new(4));
         assert_eq!(seq.to_entries(), par.to_entries());
     }
 
@@ -468,10 +546,14 @@ mod tests {
         // Old stitch-path semantics: sequential partial per partition, then set.
         let mut stitched: SparseVector<i64> = SparseVector::new(n as usize);
         for part in pd.partitions() {
-            let partial: SparseVector<i64> =
-                gspmv_dcsc(&part.matrix, &x, &|m, e, _| m * e, &|a: &mut i64, v| {
-                    *a += v
-                });
+            let mut partial: SparseVector<i64> = SparseVector::new(n as usize);
+            for (j, rows, edges) in part.matrix.iter_cols() {
+                if let Some(xj) = x.get(j) {
+                    for (k, e) in rows.iter().zip(edges) {
+                        partial.merge(*k, xj * e, |a, v| *a += v);
+                    }
+                }
+            }
             for (k, v) in partial.iter() {
                 stitched.set(k, *v);
             }
@@ -536,7 +618,13 @@ mod tests {
         for (i, v) in x_dense.iter().enumerate() {
             x.set(i as u32, *v);
         }
-        let y = gspmv_semiring(&pd, &x, &PlusTimes, &Executor::new(2));
+        let y = gspmv(
+            &pd,
+            &x,
+            &|x: &f64, e: &f64, _| PlusTimes.multiply(x, e),
+            &|acc: &mut f64, v| PlusTimes.add(acc, v),
+            &Executor::new(2),
+        );
         for (r, row) in dense.iter().enumerate() {
             let expect: f64 = (0..10).map(|c| row[c] * x_dense[c]).sum();
             let got = y.get(r as u32).copied().unwrap_or(0.0);
@@ -553,7 +641,13 @@ mod tests {
         let mut x: SparseVector<f32> = SparseVector::new(3);
         x.set(0, 0.0);
         x.set(1, 100.0);
-        let y = gspmv_semiring(&pd, &x, &MinPlus, &Executor::sequential());
+        let y = gspmv(
+            &pd,
+            &x,
+            &|x: &f32, e: &f32, _| MinPlus.multiply(x, e),
+            &|acc: &mut f32, v| MinPlus.add(acc, v),
+            &Executor::sequential(),
+        );
         assert_eq!(y.get(1), Some(&5.0));
         assert_eq!(y.get(2), Some(&102.0));
     }

@@ -1,5 +1,6 @@
-//! Direct proof of the allocation-budget claim: a warmed superstep loop and
-//! a warmed server round perform **zero** heap allocation.
+//! Direct proof of the allocation-budget claim: a warmed superstep loop —
+//! over a bare topology and over a pending delta overlay — and a warmed
+//! server round perform **zero** heap allocation.
 //!
 //! The engine's design doc (and `tests/pool_reuse.rs`) argue this indirectly
 //! through pool counters; here the claim is enforced at the allocator
@@ -20,10 +21,14 @@
 
 use graphmat_audit::alloc_track::{AllocGuard, CountingAllocator};
 use graphmat_core::program::{GraphProgram, VertexId};
-use graphmat_core::{ActivityPolicy, RunOptions, Session, SessionOptions, VertexState};
+use graphmat_core::{
+    ActivityPolicy, GraphStore, RunOptions, Session, SessionOptions, StoreOptions, VertexState,
+};
+use graphmat_delta::DeltaBatch;
 use graphmat_io::rmat::{self, RmatConfig};
 use graphmat_server::protocol::{Algorithm, RunRequest, Status};
 use graphmat_server::service::{self, GraphService, WorkerStates};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -104,7 +109,67 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         "100 warmed supersteps must not touch the heap, got {stats:?}"
     );
 
-    // ---- Part 2: steady-state server rounds, in-process. ----
+    // ---- Part 2: the same supersteps over a pending delta overlay. ----
+    // No compaction thread and no automatic compaction, so nothing else in
+    // the process allocates inside the measured window.
+    let store = GraphStore::new(
+        Arc::clone(&topo),
+        StoreOptions {
+            compaction_threshold: usize::MAX,
+            background: false,
+            ..StoreOptions::default()
+        },
+    );
+    // Edits on sources with and without base out-edges, so the merged walk
+    // runs its same-column and its overlay-only arms.
+    let (src, dst, _) = el.edges()[0];
+    let fresh = match topo.out_degrees().iter().position(|&d| d == 0) {
+        Some(v) => v as u32,
+        None => panic!("the RMAT graph has a vertex without out-edges"),
+    };
+    let mut batch = DeltaBatch::new(topo.num_vertices());
+    let edits = [
+        batch.delete(src, dst),
+        batch.insert(0, 1, 2.0),
+        batch.insert(5, 3, 1.0),
+        batch.insert(fresh, src, 0.5),
+    ];
+    for edit in edits {
+        if let Err(e) = edit {
+            panic!("batch: {e}");
+        }
+    }
+    let snapshot = match store.apply(batch) {
+        Ok(s) => s,
+        Err(e) => panic!("apply: {e}"),
+    };
+    assert!(snapshot.view().has_overlay());
+    let run_overlay = |state: &mut VertexState<f64>| {
+        session
+            .run_view(snapshot.view(), Rank)
+            .init_all(1.0)
+            .activate_all()
+            .activity(ActivityPolicy::AlwaysAll)
+            .max_iterations(100)
+            .execute_with(state)
+    };
+    match run_overlay(&mut state) {
+        Ok(r) => assert_eq!(r.stats.iterations, 100),
+        Err(e) => panic!("warm-up overlay run: {e}"),
+    }
+    let (outcome, stats) = AllocGuard::measure(|| run_overlay(&mut state));
+    match outcome {
+        Ok(r) => assert_eq!(r.stats.iterations, 100),
+        Err(e) => panic!("measured overlay run: {e}"),
+    }
+    assert!(
+        !stats.any(),
+        "100 warmed supersteps over a pending overlay must not touch the heap, got {stats:?}"
+    );
+    drop(snapshot);
+    drop(store);
+
+    // ---- Part 3: steady-state server rounds, in-process. ----
     let service = GraphService::new(session, topo);
     let mut states = WorkerStates::for_topology(service.topology());
     let request = RunRequest::new(Algorithm::PageRank)
