@@ -12,7 +12,7 @@ use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
 use graphmat_sparse::spmv::{gspmv, gspmv_csr_pull_into, gspmv_into};
-use graphmat_sparse::spvec::{DenseVector, SortedSparseVector, SparseVector};
+use graphmat_sparse::spvec::{SortedSparseVector, SparseVector};
 use graphmat_sparse::Index;
 
 fn bench(c: &mut Criterion) {
@@ -113,17 +113,15 @@ fn bench(c: &mut Criterion) {
 
     // Push vs pull at different frontier densities: the pull kernel reads
     // every stored edge, so it should win only on dense frontiers — exactly
-    // the regime the Auto selector sends it.
+    // the regime the Auto selector sends it. Both kernels read one frontier.
     let mirror = CsrMirror::from_partitioned(&matrix);
     for (label, stride) in [("dense_1_of_2", 2usize), ("sparse_1_of_64", 64)] {
-        let mut push_x: SparseVector<f32> = SparseVector::new(n);
-        let mut pull_x: DenseVector<f32> = DenseVector::new(n);
+        let mut x: SparseVector<f32> = SparseVector::new(n);
         for v in (0..n as u32).step_by(stride) {
-            push_x.set(v, 1.0);
-            pull_x.set(v, 1.0);
+            x.set(v, 1.0);
         }
         let mut y: SparseVector<f32> = SparseVector::new(n);
-        group.bench_with_input(BenchmarkId::new("push", label), &push_x, |b, x| {
+        group.bench_with_input(BenchmarkId::new("push", label), &x, |b, x| {
             b.iter(|| {
                 gspmv_into(
                     &matrix,
@@ -136,7 +134,7 @@ fn bench(c: &mut Criterion) {
                 y.nnz()
             })
         });
-        group.bench_with_input(BenchmarkId::new("pull", label), &pull_x, |b, x| {
+        group.bench_with_input(BenchmarkId::new("pull", label), &x, |b, x| {
             b.iter(|| {
                 gspmv_csr_pull_into(
                     &mirror,

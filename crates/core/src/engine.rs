@@ -51,10 +51,11 @@
 //! active, wasteful when most are (PageRank every superstep, the middle of
 //! a BFS). This reproduction adds the dense *pull* backend
 //! direction-optimized frameworks (Beamer's bottom-up BFS, GraphBLAST) get
-//! their biggest win from: SEND fills a [`DenseVector`] instead, and the
-//! row-parallel [`gspmv_csr_pull_into`] kernel walks destination rows of
-//! the topology's CSR mirror, gathering messages by index — no sharded
-//! writers, no atomics, perfect write locality.
+//! their biggest win from: SEND fills the same bitvector-backed
+//! [`SparseVector`], and the row-parallel [`gspmv_csr_pull_into`] kernel
+//! walks destination rows of the topology's CSR mirror, gathering messages
+//! by index — no sharded writers, no atomics, perfect write locality. One
+//! message vector serves both directions, so switching costs no buffer.
 //!
 //! [`VectorKind::Auto`] (the default) makes the choice per
 //! superstep with [`choose_backend`], Beamer's rule: pull when the
@@ -67,7 +68,7 @@
 //! [`Backend`] in its metrics so runs expose their push/pull trajectory.
 
 use crate::error::{GraphMatError, Result};
-use crate::options::{DispatchMode, RunOptions, VectorKind};
+use crate::options::{DispatchMode, RunOptions, VectorKind, DEFAULT_PULL_ALPHA};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
 use crate::state::VertexState;
 use crate::stats::Backend;
@@ -75,9 +76,7 @@ use crate::view::GraphView;
 use graphmat_sparse::bitvec::AtomicBitVec;
 use graphmat_sparse::parallel::{chunks, Executor};
 use graphmat_sparse::spmv::{gspmv_csr_pull_into, gspmv_overlay_into};
-use graphmat_sparse::spvec::{
-    DenseVector, MessageVector, SortedSparseVector, SparseVector, WordRangeWriter,
-};
+use graphmat_sparse::spvec::{SortedSparseVector, SparseVector};
 use graphmat_sparse::Index;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -141,25 +140,17 @@ pub(crate) struct SuperstepMetrics {
     pub spmv_time: Duration,
 }
 
-/// The message vector in the representation [`RunOptions::vector`] selected.
+/// The message vector SEND fills. Which kernel reads it is decided per
+/// superstep from [`RunOptions::vector`], not from the store.
 enum MessageStore<M> {
-    /// Bit vector + dense value array, always pushed (the paper's choice,
-    /// §4.4.2).
+    /// Bit vector + dense value array (the paper's choice, §4.4.2), read by
+    /// the push and the pull kernel alike. Serves `Bitvector`, `Dense` and
+    /// `Auto` runs.
     Bitvector(SparseVector<M>),
-    /// Sorted tuples (the Figure 7 ablation baseline; SEND stays sequential
-    /// here because sorted insertion cannot be sharded).
+    /// Sorted tuples (the Figure 7 ablation baseline; always pushed, and
+    /// SEND stays sequential here because sorted insertion cannot be
+    /// sharded).
     Sorted(SortedSparseVector<M>),
-    /// Dense value array + validity bitmap, always pulled through the CSR
-    /// mirror.
-    Dense(DenseVector<M>),
-    /// Direction-optimized: both representations live in the workspace and
-    /// the selector fills exactly one per superstep. Costs one extra O(n)
-    /// value array over the forced kinds — the price of switching without
-    /// per-superstep allocation.
-    Auto {
-        push: SparseVector<M>,
-        pull: DenseVector<M>,
-    },
 }
 
 /// Reusable per-run scratch state: every buffer a superstep needs, allocated
@@ -183,13 +174,10 @@ impl<P: GraphProgram> Workspace<P> {
     /// Allocate a workspace for a graph of `n` vertices.
     pub(crate) fn new(n: usize, options: &RunOptions) -> Self {
         let messages = match options.vector {
-            VectorKind::Bitvector => MessageStore::Bitvector(SparseVector::new(n)),
             VectorKind::Sorted => MessageStore::Sorted(SortedSparseVector::new(n)),
-            VectorKind::Dense => MessageStore::Dense(DenseVector::new(n)),
-            VectorKind::Auto => MessageStore::Auto {
-                push: SparseVector::new(n),
-                pull: DenseVector::new(n),
-            },
+            VectorKind::Bitvector | VectorKind::Dense | VectorKind::Auto => {
+                MessageStore::Bitvector(SparseVector::new(n))
+            }
         };
         Workspace {
             messages,
@@ -203,15 +191,11 @@ impl<P: GraphProgram> Workspace<P> {
     /// Whether this workspace can serve a run over `n` vertices with the
     /// given options (used when recycling a cached workspace from a pooled
     /// [`VertexState`] — a mismatch means "allocate fresh", never an error).
+    /// Only the sorted ablation needs its own store, so `Bitvector`, `Dense`
+    /// and `Auto` runs share one workspace.
     pub(crate) fn is_compatible(&self, n: usize, options: &RunOptions) -> bool {
-        let kind_matches = matches!(
-            (&self.messages, options.vector),
-            (MessageStore::Bitvector(_), VectorKind::Bitvector)
-                | (MessageStore::Sorted(_), VectorKind::Sorted)
-                | (MessageStore::Dense(_), VectorKind::Dense)
-                | (MessageStore::Auto { .. }, VectorKind::Auto)
-        );
-        kind_matches && self.reduced.len() == n
+        let sorted = matches!(self.messages, MessageStore::Sorted(_));
+        sorted == (options.vector == VectorKind::Sorted) && self.reduced.len() == n
     }
 }
 
@@ -273,45 +257,34 @@ pub(crate) fn superstep_view_into<P: GraphProgram>(
     );
     let direction = program.direction();
 
-    // --- Backend selection (before SEND: the two backends fill different
-    // message representations). Pending overlays pin the push backend: the
+    // --- Backend selection. Pending overlays pin the push backend: the
     // pull mirrors describe the unedited base.
-    let overlay_pending = view.has_overlay();
-    let backend = match &ws.messages {
-        MessageStore::Bitvector(_) | MessageStore::Sorted(_) => Backend::Push,
-        MessageStore::Dense(_) => Backend::Pull,
-        MessageStore::Auto { .. } => {
-            if !overlay_pending && topology.has_pull_mirrors() {
-                let frontier_edges =
-                    frontier_out_edges(view, state, direction, active_count, executor);
-                let unexplored =
-                    direction_edge_total(view, direction).saturating_sub(explored_edges);
-                choose_backend(
-                    frontier_edges,
-                    unexplored,
-                    active_count,
-                    n,
-                    options.pull_alpha,
-                )
-            } else {
-                Backend::Push
-            }
+    let backend = match options.vector {
+        VectorKind::Bitvector | VectorKind::Sorted => Backend::Push,
+        VectorKind::Dense => Backend::Pull,
+        VectorKind::Auto if !view.has_overlay() && topology.has_pull_mirrors() => {
+            let frontier_edges = frontier_out_edges(view, state, direction, active_count, executor);
+            let unexplored = direction_edge_total(view, direction).saturating_sub(explored_edges);
+            choose_backend(
+                frontier_edges,
+                unexplored,
+                active_count,
+                n,
+                DEFAULT_PULL_ALPHA,
+            )
         }
+        VectorKind::Auto => Backend::Push,
     };
 
-    // --- SEND_MESSAGE: build the message vector from active vertices, in
-    // the representation the chosen backend reads.
+    // --- SEND_MESSAGE: build the message vector from active vertices.
     let send_start = Instant::now();
-    let (messages_sent, edges_processed) = match (&mut ws.messages, backend) {
-        (MessageStore::Bitvector(mv), _) | (MessageStore::Auto { push: mv, .. }, Backend::Push) => {
+    let (messages_sent, edges_processed) = match &mut ws.messages {
+        MessageStore::Bitvector(mv) => {
             send_frontier(view, state, program, direction, executor, active_count, mv)
         }
-        (MessageStore::Sorted(sv), _) => {
+        MessageStore::Sorted(sv) => {
             sv.clear();
-            send_sequential(view, state, program, direction, sv)
-        }
-        (MessageStore::Dense(dv), _) | (MessageStore::Auto { pull: dv, .. }, Backend::Pull) => {
-            send_frontier(view, state, program, direction, executor, active_count, dv)
+            send_sequential(view, state, program, direction, |v, msg| sv.set(v, msg))
         }
     };
     let send_time = send_start.elapsed();
@@ -407,76 +380,14 @@ fn edges_for<E>(view: GraphView<'_, E>, direction: EdgeDirection, v: VertexId) -
     }
 }
 
-/// A sparse vector the engine can build messages into sequentially.
-trait BuildableVector<T>: MessageVector<T> + Sync {
-    fn insert(&mut self, i: Index, value: T);
-}
-
-impl<T: Clone + Default + Sync> BuildableVector<T> for SparseVector<T> {
-    fn insert(&mut self, i: Index, value: T) {
-        self.set(i, value);
-    }
-}
-
-impl<T: Clone + Sync> BuildableVector<T> for SortedSparseVector<T> {
-    fn insert(&mut self, i: Index, value: T) {
-        self.set(i, value);
-    }
-}
-
-impl<T: Clone + Default + Sync> BuildableVector<T> for DenseVector<T> {
-    fn insert(&mut self, i: Index, value: T) {
-        self.set(i, value);
-    }
-}
-
-/// A message vector SEND can additionally populate in parallel over
-/// word-aligned chunks of the active bit vector — the bitvector-backed push
-/// store and the dense pull store share this shape, so one SEND
-/// implementation serves both backends.
-trait FrontierVector<T>: BuildableVector<T> {
-    fn clear(&mut self);
-    fn fill_words_parallel<F>(&mut self, executor: &Executor, f: F)
-    where
-        T: Send,
-        F: Fn(&mut WordRangeWriter<'_, T>) + Sync;
-}
-
-impl<T: Clone + Default + Sync> FrontierVector<T> for SparseVector<T> {
-    fn clear(&mut self) {
-        SparseVector::clear(self);
-    }
-
-    fn fill_words_parallel<F>(&mut self, executor: &Executor, f: F)
-    where
-        T: Send,
-        F: Fn(&mut WordRangeWriter<'_, T>) + Sync,
-    {
-        SparseVector::fill_words_parallel(self, executor, f)
-    }
-}
-
-impl<T: Clone + Default + Sync> FrontierVector<T> for DenseVector<T> {
-    fn clear(&mut self) {
-        DenseVector::clear(self);
-    }
-
-    fn fill_words_parallel<F>(&mut self, executor: &Executor, f: F)
-    where
-        T: Send,
-        F: Fn(&mut WordRangeWriter<'_, T>) + Sync,
-    {
-        DenseVector::fill_words_parallel(self, executor, f)
-    }
-}
-
-/// Sequential SEND over the active set (already-cleared message vector).
-fn send_sequential<P: GraphProgram, MV: BuildableVector<P::Message>>(
+/// Sequential SEND over the active set, handing each message to `insert`
+/// (which writes it into an already-cleared message vector).
+fn send_sequential<P: GraphProgram>(
     view: GraphView<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
     direction: EdgeDirection,
-    messages: &mut MV,
+    mut insert: impl FnMut(VertexId, P::Message),
 ) -> (usize, u64) {
     let props = state.properties();
     let mut sent = 0usize;
@@ -484,7 +395,7 @@ fn send_sequential<P: GraphProgram, MV: BuildableVector<P::Message>>(
     for v in state.active_bits().iter_ones() {
         let v = v as VertexId;
         if let Some(msg) = program.send_message(v, &props[v as usize]) {
-            messages.insert(v, msg);
+            insert(v, msg);
             sent += 1;
             edges += edges_for(view, direction, v);
         }
@@ -492,21 +403,23 @@ fn send_sequential<P: GraphProgram, MV: BuildableVector<P::Message>>(
     (sent, edges)
 }
 
-/// SEND into a word-fillable message vector (bitvector push store or dense
-/// pull store): sequential for small frontiers, otherwise chunked over
-/// active-bitvector words across the executor's lanes.
-fn send_frontier<P: GraphProgram, MV: FrontierVector<P::Message>>(
+/// SEND into the bitvector message store that both kernels read:
+/// sequential for small frontiers, otherwise chunked over active-bitvector
+/// words across the executor's lanes.
+fn send_frontier<P: GraphProgram>(
     view: GraphView<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
     direction: EdgeDirection,
     executor: &Executor,
     active_count: usize,
-    messages: &mut MV,
+    messages: &mut SparseVector<P::Message>,
 ) -> (usize, u64) {
     messages.clear();
     if executor.nthreads() == 1 || active_count < PARALLEL_PHASE_MIN_WORK {
-        return send_sequential(view, state, program, direction, messages);
+        return send_sequential(view, state, program, direction, |v, msg| {
+            messages.set(v, msg)
+        });
     }
 
     let props = state.properties();
@@ -619,16 +532,15 @@ where
             )
         };
         match (messages, backend) {
-            (MessageStore::Bitvector(mv), _)
-            | (MessageStore::Auto { push: mv, .. }, Backend::Push) => {
+            (MessageStore::Bitvector(mv), Backend::Push) => {
                 gspmv_overlay_into(matrix, overlay, mv, multiply, add, executor, y)
+            }
+            (MessageStore::Bitvector(mv), Backend::Pull) => {
+                let mirror = mirror.ok_or(GraphMatError::MissingPullMirror)?;
+                gspmv_csr_pull_into(mirror, mv, multiply, add, executor, y)
             }
             (MessageStore::Sorted(sv), _) => {
                 gspmv_overlay_into(matrix, overlay, sv, multiply, add, executor, y)
-            }
-            (MessageStore::Dense(dv), _) | (MessageStore::Auto { pull: dv, .. }, Backend::Pull) => {
-                let mirror = mirror.ok_or(GraphMatError::MissingPullMirror)?;
-                gspmv_csr_pull_into(mirror, dv, multiply, add, executor, y)
             }
         }
         Ok(())
@@ -878,24 +790,27 @@ mod tests {
 
     #[test]
     fn workspace_compatibility_checks_length_and_kind() {
-        let bitvec_opts = forced(VectorKind::Bitvector);
+        // Bitvector, Dense and Auto share one bitvector store; only the
+        // sorted ablation and a different length need a fresh workspace.
+        let shared = [VectorKind::Bitvector, VectorKind::Dense, VectorKind::Auto];
         let sorted_opts = forced(VectorKind::Sorted);
-        let dense_opts = forced(VectorKind::Dense);
-        let auto_opts = forced(VectorKind::Auto);
-        let ws = Workspace::<Sssp>::new(16, &bitvec_opts);
-        assert!(ws.is_compatible(16, &bitvec_opts));
-        assert!(!ws.is_compatible(17, &bitvec_opts));
-        assert!(!ws.is_compatible(16, &sorted_opts));
-        assert!(!ws.is_compatible(16, &dense_opts));
-        assert!(!ws.is_compatible(16, &auto_opts));
-        let ws2 = Workspace::<Sssp>::new(16, &sorted_opts);
-        assert!(ws2.is_compatible(16, &sorted_opts));
-        let ws3 = Workspace::<Sssp>::new(16, &dense_opts);
-        assert!(ws3.is_compatible(16, &dense_opts));
-        assert!(!ws3.is_compatible(16, &auto_opts));
-        let ws4 = Workspace::<Sssp>::new(16, &auto_opts);
-        assert!(ws4.is_compatible(16, &auto_opts));
-        assert!(!ws4.is_compatible(16, &bitvec_opts));
+        for built in shared {
+            let ws = Workspace::<Sssp>::new(16, &forced(built));
+            for used in shared {
+                assert!(ws.is_compatible(16, &forced(used)), "{built:?} → {used:?}");
+                assert!(!ws.is_compatible(17, &forced(used)), "{built:?} → {used:?}");
+            }
+            assert!(!ws.is_compatible(16, &sorted_opts), "{built:?} → Sorted");
+        }
+        let sorted = Workspace::<Sssp>::new(16, &sorted_opts);
+        assert!(sorted.is_compatible(16, &sorted_opts));
+        assert!(!sorted.is_compatible(17, &sorted_opts));
+        for used in shared {
+            assert!(
+                !sorted.is_compatible(16, &forced(used)),
+                "Sorted → {used:?}"
+            );
+        }
     }
 
     /// A program that scatters along in-edges: each vertex tells its

@@ -79,8 +79,9 @@
 //!   always-push engine);
 //! * `.vector(…)` on the run builder forces a backend
 //!   (`Bitvector`/`Sorted` → push, `Dense` → pull, `Auto` → per-superstep);
-//! * `.pull_alpha(α)` tunes the switch point
-//!   ([`options::DEFAULT_PULL_ALPHA`] = 14);
+//!   `Bitvector`, `Dense` and `Auto` fill one message vector that either
+//!   kernel reads, so switching kinds on a pooled state allocates nothing;
+//! * α is fixed at [`options::DEFAULT_PULL_ALPHA`] = 14;
 //! * each superstep records the chosen [`stats::Backend`] and its frontier
 //!   density in [`stats::SuperstepStats`].
 //!

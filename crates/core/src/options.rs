@@ -12,8 +12,8 @@
 //! compiling without `-ipo`) — plus the direction-optimization knobs this
 //! reproduction adds beyond the paper: [`VectorKind`] grew `Dense` (force
 //! the row-wise pull backend) and `Auto` (per-superstep push/pull
-//! selection, the default), with [`RunOptions::pull_alpha`] tuning when
-//! `Auto` switches.
+//! selection, the default), which switches at the fixed
+//! [`DEFAULT_PULL_ALPHA`].
 
 use crate::error::{GraphMatError, Result};
 use std::time::Instant;
@@ -50,10 +50,11 @@ pub enum ActivityPolicy {
 /// Which message-vector representation — and therefore which SpMV backend —
 /// a superstep uses.
 ///
-/// `Bitvector` and `Sorted` are *push* representations (column-wise sparse
-/// SpMV over the DCSC); `Dense` is the *pull* representation (row-wise SpMV
-/// over the CSR mirror); `Auto` switches between bitvector-push and
-/// dense-pull per superstep based on frontier density. All four produce
+/// `Bitvector` and `Sorted` *push* (column-wise sparse SpMV over the DCSC);
+/// `Dense` *pulls* (row-wise SpMV over the CSR mirror); `Auto` switches
+/// between push and pull per superstep based on frontier density.
+/// `Bitvector`, `Dense` and `Auto` all fill the same bitvector-backed
+/// message vector, so only the kernel that reads it differs. All four produce
 /// **bit-for-bit identical results** — push and pull both reduce each
 /// destination's incoming products in ascending source order — so the choice
 /// is purely about performance.
@@ -69,15 +70,15 @@ pub enum VectorKind {
     /// Sorted `(index, value)` tuples, always pushed (the rejected
     /// alternative, kept for the Figure 7 "+bitvector" ablation step).
     Sorted,
-    /// Dense value array + validity bitmap, always **pulled** through the
+    /// The `Bitvector` message vector, always **pulled** through the
     /// row-major CSR mirror. Requires a topology built with pull mirrors
     /// (the default) — forcing `Dense` on a mirror-less topology is
     /// [`GraphMatError::MissingPullMirror`].
     Dense,
-    /// Direction-optimized: per superstep, pick push (bitvector) or pull
-    /// (dense) with the Beamer-style rule — pull when the frontier's
+    /// Direction-optimized: per superstep, push or pull the bitvector
+    /// message vector with the Beamer-style rule — pull when the frontier's
     /// out-edges outnumber `unexplored_edges / α` **and** the frontier
-    /// itself is not tiny (see [`RunOptions::pull_alpha`]). On a topology
+    /// itself is not tiny (α is [`DEFAULT_PULL_ALPHA`]). On a topology
     /// without pull mirrors, `Auto` always pushes.
     #[default]
     Auto,
@@ -96,14 +97,6 @@ pub struct RunOptions {
     /// Message-vector representation / SpMV backend selection (Figure 7
     /// "+bitvector" ablation and the direction-optimization forcing knob).
     pub vector: VectorKind,
-    /// The α threshold of the [`VectorKind::Auto`] direction selector
-    /// (Beamer et al.'s direction-switching rule): a superstep pulls when
-    /// `frontier_out_edges > unexplored_edges / α`. Larger α switches to
-    /// pull earlier. Must be positive and finite
-    /// ([`RunOptions::validate`]); the default is
-    /// [`DEFAULT_PULL_ALPHA`] (= 14, the value the direction-optimizing BFS
-    /// paper tunes on scale-free graphs). Ignored by the forced kinds.
-    pub pull_alpha: f64,
     /// How the next superstep's active set is derived.
     pub activity: ActivityPolicy,
     /// Record per-superstep statistics (cheap; on by default).
@@ -118,8 +111,10 @@ pub struct RunOptions {
     pub deadline: Option<Instant>,
 }
 
-/// Default α of the direction selector: pull once the frontier's out-edges
-/// exceed `unexplored_edges / 14` (Beamer et al.'s tuned value).
+/// α of the [`VectorKind::Auto`] direction selector (Beamer et al.'s
+/// direction-switching rule): pull once the frontier's out-edges exceed
+/// `unexplored_edges / 14`, the value the direction-optimizing BFS paper
+/// tunes on scale-free graphs.
 pub const DEFAULT_PULL_ALPHA: f64 = 14.0;
 
 impl Default for RunOptions {
@@ -128,7 +123,6 @@ impl Default for RunOptions {
             max_iterations: None,
             dispatch: DispatchMode::Static,
             vector: VectorKind::Auto,
-            pull_alpha: DEFAULT_PULL_ALPHA,
             activity: ActivityPolicy::Changed,
             record_supersteps: true,
             deadline: None,
@@ -155,13 +149,6 @@ impl RunOptions {
         self
     }
 
-    /// Set the α threshold of the [`VectorKind::Auto`] direction selector
-    /// (must be positive and finite; see [`RunOptions::pull_alpha`]).
-    pub fn with_pull_alpha(mut self, alpha: f64) -> Self {
-        self.pull_alpha = alpha;
-        self
-    }
-
     /// Set the activity policy.
     pub fn with_activity(mut self, activity: ActivityPolicy) -> Self {
         self.activity = activity;
@@ -176,19 +163,12 @@ impl RunOptions {
     }
 
     /// Check the options for values that cannot drive a run:
-    /// `max_iterations == Some(0)` yields [`GraphMatError::ZeroIterations`];
-    /// a non-positive or non-finite [`RunOptions::pull_alpha`] yields
-    /// [`GraphMatError::InvalidParameter`].
+    /// `max_iterations == Some(0)` yields [`GraphMatError::ZeroIterations`].
     /// Called by the `Session` frontend at construction and before every
     /// builder-driven run.
     pub fn validate(&self) -> Result<()> {
         if self.max_iterations == Some(0) {
             return Err(GraphMatError::ZeroIterations);
-        }
-        if !(self.pull_alpha.is_finite() && self.pull_alpha > 0.0) {
-            return Err(GraphMatError::InvalidParameter(
-                "pull_alpha must be positive and finite",
-            ));
         }
         Ok(())
     }
@@ -218,24 +198,6 @@ mod tests {
         assert_eq!(o.dispatch, DispatchMode::Dynamic);
         assert_eq!(o.vector, VectorKind::Sorted);
         assert!(o.validate().is_ok());
-    }
-
-    #[test]
-    fn invalid_pull_alpha_fails_validation() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert_eq!(
-                RunOptions::default().with_pull_alpha(bad).validate(),
-                Err(GraphMatError::InvalidParameter(
-                    "pull_alpha must be positive and finite"
-                )),
-                "alpha {bad}"
-            );
-        }
-        assert!(RunOptions::default()
-            .with_pull_alpha(4.0)
-            .validate()
-            .is_ok());
-        assert_eq!(RunOptions::default().pull_alpha, DEFAULT_PULL_ALPHA);
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! selects [`VectorKind::Auto`], which picks the sparse push or dense pull SpMV
 //! backend per superstep by frontier density (bit-for-bit identical results
 //! either way; see [`crate::engine::choose_backend`]). Force a backend with
-//! [`RunBuilder::vector`], tune the switch point with
-//! [`RunBuilder::pull_alpha`], or skip building the pull mirrors entirely
+//! [`RunBuilder::vector`], or skip building the pull mirrors entirely
 //! with [`GraphBuilder::pull_enabled`]`(false)` (the mirrors cost roughly
 //! the adjacency matrices' memory again). The paper's always-push engine is
 //! `pull_enabled(false)` plus `.vector(VectorKind::Bitvector)` — per run, or
@@ -400,16 +399,6 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     /// produce bit-for-bit identical results.
     pub fn vector(mut self, vector: VectorKind) -> Self {
         self.options.vector = vector;
-        self
-    }
-
-    /// Tune the α threshold of the [`VectorKind::Auto`] direction selector:
-    /// a superstep pulls when the frontier's out-edges exceed
-    /// `unexplored_edges / α` (and the frontier is not tiny). Larger α
-    /// switches to pull earlier; non-positive or non-finite values are
-    /// rejected at execute time.
-    pub fn pull_alpha(mut self, alpha: f64) -> Self {
-        self.options.pull_alpha = alpha;
         self
     }
 
@@ -1002,12 +991,6 @@ mod tests {
             vertex: 99,
             num_vertices: 5,
         };
-        assert_rejected_untouched(result, expected, &state);
-
-        let result = sssp(GraphView::base(&topo))
-            .pull_alpha(-3.0)
-            .execute_with(&mut state);
-        let expected = GraphMatError::InvalidParameter("pull_alpha must be positive and finite");
         assert_rejected_untouched(result, expected, &state);
 
         let result = inward(GraphView::base(&bare)).execute_with(&mut state);

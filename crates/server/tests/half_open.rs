@@ -16,8 +16,9 @@ use std::time::{Duration, Instant};
 
 fn start_server(config: ServerConfig) -> (Server, Arc<Topology<f32>>) {
     // A larger graph (2^13 vertices) so include_values replies are ~64 KiB:
-    // a handful of unread replies overflow the kernel socket buffers and
-    // block the server's write path — the half-open hazard under test.
+    // enough unread replies (see `PIPELINED_REQUESTS`) overflow the kernel
+    // socket buffers and block the server's write path — the half-open
+    // hazard under test.
     let edges: EdgeList<f32> =
         graphmat_io::rmat::generate(&RmatConfig::graph500(13).with_seed(5).with_weights(1, 10));
     let session = Session::sequential();
@@ -30,6 +31,15 @@ fn start_server(config: ServerConfig) -> (Server, Arc<Topology<f32>>) {
     .unwrap();
     (server, topology)
 }
+
+/// How many RUN frames the half-open peer pipelines before it stalls. The
+/// server answers them one at a time, ~64 KiB each, and its write blocks
+/// only once the unread replies exceed the server's send buffer plus the
+/// peer's receive buffer. On Linux loopback those come to about 4 MiB
+/// (`tcp_wmem` max) plus 128 KiB, which 64 replies (~4.2 MB) barely reach,
+/// so a 64-frame burst often never stalled the server at all. 256 replies
+/// (~16.8 MB) are four times that.
+const PIPELINED_REQUESTS: usize = 256;
 
 /// Encode one RUN frame (length prefix + body) by hand so we can write
 /// requests without ever reading replies.
@@ -56,14 +66,12 @@ fn half_open_peer_is_reclaimed_and_serving_continues() {
     });
     let addr = server.local_addr();
 
-    // The half-open peer: valid frames in, nothing ever read out. A tiny
-    // receive buffer makes the server's send side fill after the first
-    // large reply, so its connection thread blocks in write_frame.
+    // The half-open peer: valid frames in, nothing ever read out. The
+    // unread replies fill the socket buffers, so the server's connection
+    // thread blocks in write_frame.
     let mut stalled = TcpStream::connect(addr).unwrap();
-    // Shrink our receive window if the OS lets us (best effort — the
-    // 64 KiB replies overflow default loopback buffers regardless).
     let frame = encoded_run_frame();
-    for _ in 0..64 {
+    for _ in 0..PIPELINED_REQUESTS {
         if stalled.write_all(&frame).is_err() {
             // Server already dropped us — that's the mechanism working.
             break;

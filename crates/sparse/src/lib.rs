@@ -11,8 +11,8 @@
 //! * [`bitvec`] — packed bit vectors, including an atomically updatable variant,
 //!   used for the active-vertex set and the sparse-vector index (paper §4.4.2).
 //! * [`spvec`] — sparse vectors: the bitvector-backed representation the paper
-//!   selects, and the sorted-tuple representation it rejects (kept for the
-//!   Figure 7 ablation).
+//!   selects (read by the push and the pull kernel alike), and the
+//!   sorted-tuple representation it rejects (kept for the Figure 7 ablation).
 //! * [`semiring`] — generalized multiply/add pairs; graph traversals are SpMV
 //!   over a user-chosen semiring (paper §2, §4.2).
 //! * [`partition`] — 1-D row partitioning of the matrix into many more

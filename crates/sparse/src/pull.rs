@@ -6,8 +6,8 @@
 //! wasteful when most vertices are active — the regime direction-optimized
 //! engines (Beamer et al.'s bottom-up BFS, GraphBLAST's SpMV/SpMSpV switch)
 //! handle with a row-wise *pull* traversal: iterate destination rows, gather
-//! from a dense message vector by index, and write each output entry exactly
-//! once.
+//! from the same bitvector-backed message vector by index, and write each
+//! output entry exactly once.
 //!
 //! [`CsrMirror`] is the structure that traversal runs over: the **same row
 //! partitions** as a [`PartitionedDcsc`] (so the two backends share one load

@@ -21,15 +21,16 @@
 //!   overlay and [`gspmv`] additionally allocates the output.
 //! * The **dense pull** kernel, [`gspmv_csr_pull_into`] — row-parallel over
 //!   a [`CsrMirror`], used by the direction-optimized engine when the
-//!   frontier is dense (reads a [`DenseVector`] by index; writes each output
-//!   row exactly once, with no sharded scatter).
+//!   frontier is dense (reads the same [`SparseVector`] the push kernel
+//!   reads, by index; writes each output row exactly once, with no sharded
+//!   scatter).
 
 use crate::dcsc::Dcsc;
 use crate::overlay::{Overlay, OverlayOp, OverlayPartition};
 use crate::parallel::Executor;
 use crate::partition::PartitionedDcsc;
 use crate::pull::CsrMirror;
-use crate::spvec::{DenseVector, MessageVector, SparseVector};
+use crate::spvec::{MessageVector, SparseVector};
 use crate::Index;
 use std::cmp::Ordering;
 
@@ -266,7 +267,7 @@ pub fn gspmv_into<X, E, Y, V, M, A>(
 /// Where [`gspmv_into`] *pushes* (walk the non-empty columns present in the
 /// sparse input, scatter into output rows), this kernel *pulls*: each task
 /// owns one partition of destination rows and, for every row `k`, gathers
-/// the row's source entries, probes the dense input vector's validity bitmap
+/// the row's source entries, probes the input vector's validity bitmap
 /// per source, multiplies the hits and folds them into a register-resident
 /// accumulator — then writes `y[k]` exactly once. No sharded scatter, no
 /// atomics anywhere on the write path, perfect write locality; the cost is
@@ -283,7 +284,7 @@ pub fn gspmv_into<X, E, Y, V, M, A>(
 /// function never allocates.
 pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
     mirror: &CsrMirror<E>,
-    x: &DenseVector<X>,
+    x: &SparseVector<X>,
     multiply: &M,
     add: &A,
     executor: &Executor,
@@ -341,11 +342,11 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
     drop(shards);
 }
 
-/// Gather one destination row: probe the dense input per source (ascending),
+/// Gather one destination row: probe the input per source (ascending),
 /// multiply hits and fold them into a local accumulator.
 #[inline(always)]
 fn pull_row<X, E, Y, M, A>(
-    x: &DenseVector<X>,
+    x: &SparseVector<X>,
     cols: &[Index],
     edges: &[E],
     k: Index,
@@ -671,18 +672,16 @@ mod tests {
         let gt = PartitionedDcsc::from_coo_even(&figure3_graph_transpose(), 2);
         let mirror = CsrMirror::from_partitioned(&gt);
         let ex = Executor::new(2);
-        // frontier after iteration 0: B=1, C=3, D=2
-        let mut push_x: SparseVector<f32> = SparseVector::new(5);
-        let mut pull_x: DenseVector<f32> = DenseVector::new(5);
+        // frontier after iteration 0: B=1, C=3, D=2; both kernels read it
+        let mut x: SparseVector<f32> = SparseVector::new(5);
         for (i, v) in [(1u32, 1.0f32), (2, 3.0), (3, 2.0)] {
-            push_x.set(i, v);
-            pull_x.set(i, v);
+            x.set(i, v);
         }
         let multiply = |m: &f32, e: &f32, _: Index| m + e;
         let add = |acc: &mut f32, v: f32| *acc = acc.min(v);
-        let push: SparseVector<f32> = gspmv(&gt, &push_x, &multiply, &add, &ex);
+        let push: SparseVector<f32> = gspmv(&gt, &x, &multiply, &add, &ex);
         let mut pull: SparseVector<f32> = SparseVector::new(5);
-        gspmv_csr_pull_into(&mirror, &pull_x, &multiply, &add, &ex, &mut pull);
+        gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &ex, &mut pull);
         assert_eq!(pull.to_entries(), push.to_entries());
         assert_eq!(pull.to_entries(), vec![(2, 2.0), (3, 5.0), (4, 4.0)]);
     }
@@ -703,17 +702,15 @@ mod tests {
         let multiply = |m: &i64, e: &i64, k: Index| m * e + k as i64;
         let add = |acc: &mut i64, v: i64| *acc += v;
         for stride in [1usize, 2, 17, 149] {
-            let mut push_x: SparseVector<i64> = SparseVector::new(150);
-            let mut pull_x: DenseVector<i64> = DenseVector::new(150);
+            let mut x: SparseVector<i64> = SparseVector::new(150);
             for i in (0..150).step_by(stride) {
-                push_x.set(i as Index, i as i64 + 1);
-                pull_x.set(i as Index, i as i64 + 1);
+                x.set(i as Index, i as i64 + 1);
             }
             for threads in [1usize, 4] {
                 let ex = Executor::new(threads);
-                let push: SparseVector<i64> = gspmv(&pd, &push_x, &multiply, &add, &ex);
+                let push: SparseVector<i64> = gspmv(&pd, &x, &multiply, &add, &ex);
                 let mut pull: SparseVector<i64> = SparseVector::new(150);
-                gspmv_csr_pull_into(&mirror, &pull_x, &multiply, &add, &ex, &mut pull);
+                gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &ex, &mut pull);
                 assert_eq!(
                     pull.to_entries(),
                     push.to_entries(),
@@ -731,7 +728,7 @@ mod tests {
         let multiply = |m: &f32, e: &f32, _: Index| m + e;
         let add = |acc: &mut f32, v: f32| *acc = acc.min(v);
         let mut y: SparseVector<f32> = SparseVector::new(5);
-        let mut x: DenseVector<f32> = DenseVector::new(5);
+        let mut x: SparseVector<f32> = SparseVector::new(5);
         x.set(0, 0.0);
         gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &ex, &mut y);
         assert_eq!(y.to_entries(), vec![(1, 1.0), (2, 3.0), (3, 2.0)]);
@@ -745,7 +742,7 @@ mod tests {
     fn pull_empty_frontier_produces_empty_output() {
         let gt = PartitionedDcsc::from_coo_even(&figure3_graph_transpose(), 2);
         let mirror = CsrMirror::from_partitioned(&gt);
-        let x: DenseVector<f32> = DenseVector::new(5);
+        let x: SparseVector<f32> = SparseVector::new(5);
         let mut y: SparseVector<f32> = SparseVector::new(5);
         gspmv_csr_pull_into(
             &mirror,

@@ -14,11 +14,12 @@
 //! difference.
 //!
 //! Both implement [`MessageVector`], the minimal interface the generalized
-//! SpMV needs from its input vector. A third representation, [`DenseVector`],
-//! exists for the **pull** execution path (direction optimization): same
-//! values-plus-bitmap layout as option 2, but consumed by O(1) indexed reads
-//! inside the row-parallel pull kernel instead of driving column iteration —
-//! see [`crate::spmv::gspmv_csr_pull_into`].
+//! SpMV needs from its input vector. One [`SparseVector`] serves both
+//! execution directions: the push kernel ([`crate::spmv::gspmv_into`])
+//! probes it per non-empty matrix column, and the row-parallel pull kernel
+//! ([`crate::spmv::gspmv_csr_pull_into`]) probes it per stored source index.
+//! The pull kernel accepts only a [`SparseVector`], because it looks up every
+//! source it meets and needs those lookups to be O(1).
 //!
 //! # Concurrent writers
 //!
@@ -469,126 +470,8 @@ impl<T> MessageVector<T> for SparseVector<T> {
     }
 }
 
-/// Dense message vector for the **pull** execution path: a constant-size
-/// value array plus a validity bitmap, exactly like [`SparseVector`], but
-/// consumed by *indexed reads* rather than by driving iteration.
-///
-/// The distinction is semantic, not representational. The push kernel
-/// ([`crate::spmv::gspmv_into`]) walks the non-empty columns of a DCSC and
-/// probes the input vector per column — any [`MessageVector`] works,
-/// including the `O(log nnz)` [`SortedSparseVector`]. The pull kernel
-/// ([`crate::spmv::gspmv_csr_pull_into`]) instead iterates destination rows
-/// and looks up **every** source index it encounters; it is only correct to
-/// run when those lookups are O(1) bit-probe + array-read. `DenseVector` is
-/// the type that encodes that guarantee: the pull kernel accepts it and
-/// nothing else.
-///
-/// Like the engine's other per-superstep buffers, a `DenseVector` is
-/// allocated once (in the engine `Workspace`) and recycled across
-/// supersteps: [`DenseVector::clear`] resets the bitmap without touching the
-/// value array.
-#[derive(Clone, Debug)]
-pub struct DenseVector<T> {
-    inner: SparseVector<T>,
-}
-
-impl<T: Clone + Default> DenseVector<T> {
-    /// Create an empty dense vector of logical length `n`.
-    pub fn new(n: usize) -> Self {
-        DenseVector {
-            inner: SparseVector::new(n),
-        }
-    }
-}
-
-impl<T> DenseVector<T> {
-    /// Set index `i` to `value`, overwriting any previous value.
-    #[inline(always)]
-    pub fn set(&mut self, i: Index, value: T) {
-        self.inner.set(i, value);
-    }
-
-    /// Clear all entries without deallocating (value slots keep their last
-    /// contents; only the validity bitmap is reset).
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// Logical length (number of vertices).
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` if no entries are set.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of set entries.
-    pub fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
-
-    /// The validity bitmap (the pull kernel probes this per source index).
-    #[inline(always)]
-    pub fn valid_bits(&self) -> &BitVec {
-        self.inner.valid_bits()
-    }
-
-    /// Raw dense value storage (values at unset indices are unspecified; the
-    /// pull kernel reads a slot only after its validity bit tested set).
-    #[inline(always)]
-    pub fn raw_values(&self) -> &[T] {
-        self.inner.raw_values()
-    }
-
-    /// Iterate over `(index, &value)` pairs in increasing index order.
-    pub fn iter(&self) -> impl Iterator<Item = (Index, &T)> + '_ {
-        self.inner.iter()
-    }
-
-    /// Collect into a `Vec<(Index, T)>` (for tests / display).
-    pub fn to_entries(&self) -> Vec<(Index, T)>
-    where
-        T: Clone,
-    {
-        self.inner.to_entries()
-    }
-
-    /// Populate the vector in parallel from word-aligned chunks of its index
-    /// space — identical contract to [`SparseVector::fill_words_parallel`].
-    /// This is how the engine's SEND phase builds the pull-mode message
-    /// vector without locks or allocation.
-    pub fn fill_words_parallel<F>(&mut self, executor: &Executor, f: F)
-    where
-        T: Send,
-        F: Fn(&mut WordRangeWriter<'_, T>) + Sync,
-    {
-        self.inner.fill_words_parallel(executor, f)
-    }
-}
-
-impl<T> MessageVector<T> for DenseVector<T> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        MessageVector::len(&self.inner)
-    }
-
-    #[inline(always)]
-    fn nnz(&self) -> usize {
-        MessageVector::nnz(&self.inner)
-    }
-
-    #[inline(always)]
-    fn contains(&self, i: Index) -> bool {
-        self.inner.contains(i)
-    }
-
-    #[inline(always)]
-    fn get(&self, i: Index) -> Option<&T> {
-        self.inner.get(i)
-    }
-}
+/// Another name for [`SparseVector`], kept for code that still names the pull kernel's input so.
+pub type DenseVector<T> = SparseVector<T>;
 
 /// Sorted `(index, value)` tuple sparse vector (the paper's option 1).
 ///

@@ -60,7 +60,7 @@
 //! rule — pull when the frontier's out-edges exceed `unexplored / α`.
 //! Results are bit-for-bit identical across backends; the per-superstep
 //! choice is recorded in `SuperstepStats::backend`. Force a backend with
-//! `.vector(…)`, tune α with `.pull_alpha(…)`, and skip the mirrors'
+//! `.vector(…)` (α is fixed at 14), and skip the mirrors'
 //! ~2× matrix memory with `.pull_enabled(false)` on the graph builder
 //! (with `.vector(VectorKind::Bitvector)`, that is the paper's always-push
 //! engine).

@@ -1,6 +1,7 @@
 //! Direct proof of the allocation-budget claim: a warmed superstep loop —
-//! over a bare topology and over a pending delta overlay — and a warmed
-//! server round perform **zero** heap allocation.
+//! over a bare topology with each of forced push, forced pull and `Auto` in
+//! turn on one pooled state, and over a pending delta overlay — and a
+//! warmed server round perform **zero** heap allocation.
 //!
 //! The engine's design doc (and `tests/pool_reuse.rs`) argue this indirectly
 //! through pool counters; here the claim is enforced at the allocator
@@ -22,7 +23,8 @@
 use graphmat_audit::alloc_track::{AllocGuard, CountingAllocator};
 use graphmat_core::program::{GraphProgram, VertexId};
 use graphmat_core::{
-    ActivityPolicy, GraphStore, RunOptions, Session, SessionOptions, StoreOptions, VertexState,
+    ActivityPolicy, GraphStore, RunOptions, Session, SessionOptions, StoreOptions, VectorKind,
+    VertexState,
 };
 use graphmat_delta::DeltaBatch;
 use graphmat_io::rmat::{self, RmatConfig};
@@ -85,29 +87,34 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
 
     // ---- Part 1: 100 pooled supersteps through the engine front-end. ----
     let mut state: VertexState<f64> = VertexState::for_topology(&topo);
-    let run = |state: &mut VertexState<f64>| {
+    let run = |state: &mut VertexState<f64>, kind: VectorKind| {
         session
             .run(&topo, Rank)
             .init_all(1.0)
             .activate_all()
             .activity(ActivityPolicy::AlwaysAll)
             .max_iterations(100)
+            .vector(kind)
             .execute_with(state)
     };
     // Warm-up run allocates the cached workspace inside the state.
-    match run(&mut state) {
+    match run(&mut state, VectorKind::Auto) {
         Ok(r) => assert_eq!(r.stats.iterations, 100),
         Err(e) => panic!("warm-up run: {e}"),
     }
-    let (outcome, stats) = AllocGuard::measure(|| run(&mut state));
-    match outcome {
-        Ok(r) => assert_eq!(r.stats.iterations, 100),
-        Err(e) => panic!("measured run: {e}"),
+    // Forced push, forced pull and the selector all read one message
+    // vector, so switching kinds on the pooled state reuses its workspace.
+    for kind in [VectorKind::Bitvector, VectorKind::Dense, VectorKind::Auto] {
+        let (outcome, stats) = AllocGuard::measure(|| run(&mut state, kind));
+        match outcome {
+            Ok(r) => assert_eq!(r.stats.iterations, 100),
+            Err(e) => panic!("measured {kind:?} run: {e}"),
+        }
+        assert!(
+            !stats.any(),
+            "100 warmed {kind:?} supersteps must not touch the heap, got {stats:?}"
+        );
     }
-    assert!(
-        !stats.any(),
-        "100 warmed supersteps must not touch the heap, got {stats:?}"
-    );
 
     // ---- Part 2: the same supersteps over a pending delta overlay. ----
     // No compaction thread and no automatic compaction, so nothing else in
